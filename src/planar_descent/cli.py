@@ -7,7 +7,9 @@ deterministic: keys sorted, no timestamps, randomness only through
 --seed (overridden by the PLANAR_DESCENT_SEED environment variable).
 
 Exit codes: 0 success; 1 a verification run asserted something the
-mathematics refused; 2 invalid input; 3 internal invariant failure.
+mathematics refused; 2 invalid input; 3 internal invariant failure;
+4 the configuration descends over the reals, but no real model has
+Q(i) coordinates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .gaussian import format_gq, parse_gq
 from .equivalence import aut_group, classify, equivalences
 from .descent import (
     DescentCertificate,
+    IrrationalModelError,
     descends_real,
     fom_real,
     normalizer,
@@ -364,6 +367,9 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except IrrationalModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,16 +4,20 @@ The central operation enumerates every projective-linear map carrying one
 configuration onto another.  A map is pinned down by where it sends a
 projective frame, so with one general-position 4-subset of the source
 fixed, every ordered general-position 4-tuple of the target is a
-candidate, and each candidate is accepted or rejected by testing the
-remaining points.  The search is exact and complete.
+candidate.  Candidates are matched by frame coordinates (geometric
+hashing with exact keys): the source points are written in the fixed
+frame once, each unordered target 4-subset Q contributes the key set of
+the target points written in the frame Q, and an ordering of Q is
+accepted exactly when its permutation of the standard frame carries the
+source key set onto that of Q.  The search is exact and complete.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
 line, where triples of distinct points play the role of frames.
 
 The inner enumeration runs on cleared-denominator Gaussian-integer
-coordinates: candidate tuples are filtered and tested with pure integer
-arithmetic, and only surviving maps are rebuilt over Q(i).
+coordinates: 4-subsets are filtered and keyed with pure integer
+arithmetic, and only accepted maps are rebuilt over Q(i).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError
@@ -119,8 +123,8 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
 # --- integer fast path ---------------------------------------------------------
 #
 # A Gaussian integer is a pair of Python ints (re, im); a point is a
-# 6-tuple (ar, ai, br, bi, cr, ci).  No normalization happens inside the
-# loop: proportionality is tested through vanishing 2x2 minors.
+# 6-tuple (ar, ai, br, bi, cr, ci).  Projective points are compared
+# through _zkey, which needs integer gcds only.
 
 
 def _int_triple(point: ProjPoint):
@@ -163,22 +167,26 @@ def _zmatvec(m, v):
     return tuple(out)
 
 
-def _zproportional(u, v):
-    ur0, ui0, ur1, ui1, ur2, ui2 = u
-    vr0, vi0, vr1, vi1, vr2, vi2 = v
-    if (ur0 * vr1 - ui0 * vi1) - (ur1 * vr0 - ui1 * vi0) or (
-        ur0 * vi1 + ui0 * vr1
-    ) - (ur1 * vi0 + ui1 * vr0):
-        return False
-    if (ur0 * vr2 - ui0 * vi2) - (ur2 * vr0 - ui2 * vi0) or (
-        ur0 * vi2 + ui0 * vr2
-    ) - (ur2 * vi0 + ui2 * vr0):
-        return False
-    if (ur1 * vr2 - ui1 * vi2) - (ur2 * vr1 - ui2 * vi1) or (
-        ur1 * vi2 + ui1 * vr2
-    ) - (ur2 * vi1 + ui2 * vr1):
-        return False
-    return True
+def _zkey(v):
+    """Exact hashable key of the projective point of a nonzero Z[i] vector.
+
+    Multiplying by the conjugate of the leading nonzero entry x makes
+    that entry the positive integer |x|^2; proportional vectors then
+    differ by a positive rational, which dividing by the gcd of the six
+    integer parts removes.
+    """
+    ar, ai, br, bi, cr, ci = v
+    if ar or ai:
+        xr, xi = ar, ai
+    elif br or bi:
+        xr, xi = br, bi
+    else:
+        xr, xi = cr, ci
+    ar, ai = ar * xr + ai * xi, ai * xr - ar * xi
+    br, bi = br * xr + bi * xi, bi * xr - br * xi
+    cr, ci = cr * xr + ci * xi, ci * xr - cr * xi
+    g = gcd(ar, ai, br, bi, cr, ci)
+    return (ar // g, ai // g, br // g, bi // g, cr // g, ci // g)
 
 
 def _zframe_matrix(v1, v2, v3, v4):
@@ -250,6 +258,17 @@ def _zmatmul(a, b):
     return tuple(rows)
 
 
+# P_sigma for the 24 orderings sigma of the standard frame
+# (1:0:0), (0:1:0), (0:0:1), (1:1:1): Z(Q) . P_sigma is, up to a scalar,
+# the frame matrix of Q taken in the order sigma.
+_STANDARD_FRAME = (
+    (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0),
+)
+_FRAME_ORDERINGS = tuple(
+    _zframe_matrix(*perm) for perm in itertools.permutations(_STANDARD_FRAME)
+)
+
+
 def _map_from_int_matrix(m, antiholo=False):
     rows = tuple(
         tuple(
@@ -270,8 +289,17 @@ def equivalences(source: PointConfig, target: PointConfig,
 
     Requires a general-position 4-subset in the source (NeedsReductionError
     otherwise).  The list is complete: any such g sends the witness frame
-    to an ordered general-position 4-tuple of the target, all of which are
-    tried.  Different sizes yield the empty list.
+    to an ordered general-position 4-tuple of the target.  Different sizes
+    yield the empty list.
+
+    Orderings are not tried one by one.  The source points are written
+    in the witness frame once; for each ordering sigma of the standard
+    frame, the keys (_zkey) of the points P_sigma . F_s form a key set,
+    and orderings with the same key set share one entry.  Each unordered
+    general-position target 4-subset Q is then keyed once, by writing
+    the target points in the frame Q, and the ordering sigma of Q gives
+    a map exactly when the two key sets are equal.  A target point whose
+    key lies in no source key set rejects Q at once.
     """
     cls = classify(source, max_points)
     if cls.tag is not ConfigTag.HAS_FRAME:
@@ -285,32 +313,34 @@ def equivalences(source: PointConfig, target: PointConfig,
     if len(source) != len(target):
         return []
 
-    frame = cls.frame
     frame_adj = _zadjugate(
-        _zframe_matrix(*(_int_triple(p) for p in frame))
+        _zframe_matrix(*(_int_triple(p) for p in cls.frame))
     )
-    frame_set = set(frame)
-    probes = [_int_triple(p) for p in source if p not in frame_set]
-    target_ints = [_int_triple(p) for p in target.points]
-    nt = len(target_ints)
+    source_coords = [_zmatvec(frame_adj, _int_triple(p)) for p in source.points]
+    by_keys = {}
+    for p_sigma in _FRAME_ORDERINGS:
+        keys = frozenset(_zkey(_zmatvec(p_sigma, v)) for v in source_coords)
+        by_keys.setdefault(keys, []).append(_zmatmul(p_sigma, frame_adj))
 
+    source_keys = frozenset().union(*by_keys)
+    target_ints = [_int_triple(p) for p in target.points]
     found = []
-    for combo in itertools.combinations(range(nt), 4):
-        quad = [target_ints[i] for i in combo]
+    for quad in itertools.combinations(target_ints, 4):
         a, b, c, d = quad
         if _zdet3(a, b, c) == (0, 0) or _zdet3(a, b, d) == (0, 0) \
                 or _zdet3(a, c, d) == (0, 0) or _zdet3(b, c, d) == (0, 0):
             continue
-        for perm in itertools.permutations(quad):
-            g = _zmatmul(_zframe_matrix(*perm), frame_adj)
-            ok = True
-            for s in probes:
-                image = _zmatvec(g, s)
-                if not any(_zproportional(image, t) for t in target_ints):
-                    ok = False
-                    break
-            if ok:
-                found.append(g)
+        z_quad = _zframe_matrix(*quad)
+        quad_adj = _zadjugate(z_quad)
+        quad_keys = set()
+        for t in target_ints:
+            key = _zkey(_zmatvec(quad_adj, t))
+            if key not in source_keys:
+                break
+            quad_keys.add(key)
+        else:
+            for g in by_keys.get(frozenset(quad_keys), ()):
+                found.append(_zmatmul(z_quad, g))
 
     maps = sorted((_map_from_int_matrix(g) for g in found), key=SemiProjMap.key)
     if len({m.key() for m in maps}) != len(maps):

@@ -222,30 +222,104 @@ _SMALL_PRIME_BOUND = 10_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster 2017): below it those bases decide primality.
+_MR_PROVEN_BOUND = 318665857834031151167461
 
-def _is_prime(n):
-    """Deterministic Miller-Rabin for every input this package produces."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+
+def _strong_probable_prime(n, a):
+    """Strong (Miller-Rabin) probable-prime test of odd n > 2 to base a."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas probable-prime test of odd n, Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4, so U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D U_k + V_k)/2.
+    n passes when U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s,
+    where n + 1 = d 2^s with d odd.
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    d_param = 5
+    while True:
+        j = _jacobi(d_param, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d_param) != n:
             return False
-    return True
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q_param = (1 - d_param) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halve(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_1, V_1, Q^1, then binary ladder up to U_d, V_d, Q^d
+    u, v, qk = 1, 1, q_param % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = halve(u + v), halve(d_param * u + v)
+            qk = qk * q_param % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _is_prime(n):
+    """Primality: proven below psi_12, Baillie-PSW at and above it.
+
+    Below _MR_PROVEN_BOUND the strong tests to the twelve bases 2..37
+    are a proof.  From there on the answer is the Baillie-PSW test (a
+    strong base-2 test and a strong Lucas test, Baillie and Wagstaff
+    1980), which has no known counterexample but is not proven correct.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_PROVEN_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _brent_rho(n):
@@ -281,8 +355,8 @@ def _brent_rho(n):
 def _factorize(n):
     """Factorization of a positive integer as an ascending (prime, exponent) list.
 
-    Trial division up to a small bound, then Miller-Rabin plus Brent's
-    rho for whatever remains.
+    Trial division up to a small bound, then _is_prime plus Brent's rho
+    for whatever remains.
     """
     factors = {}
     d = 2

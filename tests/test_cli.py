@@ -1,6 +1,11 @@
+import hashlib
 import json
 
 from planar_descent.cli import main
+
+# sha256 of the report of `verify-paper --m-range 1..1 --samples 4 --seed 3`;
+# a change that alters it on purpose must say so and why
+SMALL_REPORT_SHA256 = "5cf1898a436d103540b5a441e1844df024a4244552084cf42801305c281e9e13"
 
 
 def run_cli(args, capsys):
@@ -125,6 +130,19 @@ def test_refutation_round_trip_rechecks(tmp_path, capsys):
         assert not square.is_identity()
 
 
+def test_descend_without_qi_model_exit_code(tmp_path, capsys):
+    # real descent holds, but every real model needs coordinates outside Q(i)
+    infile = write_config(tmp_path / "irrational.json", [
+        "(1+1i:1:0)", "(3/2+3/2i:1:0)", "(2:1:0)", "(3/2:1:0)", "(5:1:0)",
+        "(3/5:1:0)",
+    ])
+    code, out, err = run_cli(["descend", "--in", infile], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"points": ["(1:0)"]}', encoding="utf-8")
@@ -148,6 +166,8 @@ def test_verify_paper_small_and_deterministic(capsys, tmp_path):
     code, _, _ = run_cli(args + ["--out", str(tmp_path / "r2.json")], capsys)
     assert code == 0
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+    digest = hashlib.sha256((tmp_path / "r1.json").read_bytes()).hexdigest()
+    assert digest == SMALL_REPORT_SHA256
     report = json.loads((tmp_path / "r1.json").read_text())
     assert report["passed"] is True
     assert report["family_cases"][0]["normalizer_structure"] == "C4"

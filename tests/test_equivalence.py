@@ -294,6 +294,47 @@ def test_equivalences_match_brute_force():
         checked += 1
     assert checked >= 50
 
+    # symmetric inputs: only there do several orderings of a target
+    # 4-subset share one frame-coordinate key set
+    square_and_centre = PointConfig(list(FAMILY_F) + [pt(0, 0, 1)])
+    family_s = _paper_family(["2+1i"])
+    pairs = [
+        (STANDARD_FRAME, STANDARD_FRAME),
+        (STANDARD_FRAME, _random_twist(rng).apply(STANDARD_FRAME)),
+        (family_s, family_s),
+        (family_s.conj(), family_s),
+        (family_s, _random_twist(rng).apply(family_s)),
+        (square_and_centre, square_and_centre),
+        (square_and_centre, _random_twist(rng).apply(square_and_centre)),
+    ]
+    counts = []
+    for source, target in pairs:
+        fast = equivalences(source, target)
+        assert [m.key() for m in fast] == brute_force_equivalences(source, target)
+        counts.append(len(fast))
+    assert counts == [24, 24, 2, 2, 2, 8, 8]
+
+
+def test_projective_key_is_scale_invariant_and_separates_points():
+    from planar_descent.equivalence import _int_triple, _zkey
+
+    rng = random.Random(25)
+    for _ in range(200):
+        v = tuple(rng.randint(-9, 9) for _ in range(6))
+        if not any(v):
+            continue
+        lr, li = 0, 0
+        while not (lr or li):
+            lr, li = rng.randint(-9, 9), rng.randint(-9, 9)
+        scaled = []
+        for k in range(3):
+            ar, ai = v[2 * k], v[2 * k + 1]
+            scaled.extend((lr * ar - li * ai, lr * ai + li * ar))
+        assert _zkey(tuple(scaled)) == _zkey(v)
+    for size in (5, 8, 12):
+        config = _random_config(rng, size)
+        assert len({_zkey(_int_triple(p)) for p in config}) == size
+
 
 def test_equivalences_form_left_coset():
     rng = random.Random(22)

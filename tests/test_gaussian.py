@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from planar_descent.gaussian import (
     GaussianRational,
@@ -10,8 +12,15 @@ from planar_descent.gaussian import (
     format_gq,
     gq,
     parse_gq,
+    _factorize,
+    _is_prime,
+    _strong_lucas_probable_prime,
     two_squares,
 )
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_mul_conjugate_pair():
@@ -154,3 +163,25 @@ def test_format_parse_round_trip():
     assert format_gq(GaussianRational(0)) == "0"
     assert format_gq(GaussianRational(2, -1)) == "2-1i"
     assert format_gq(GaussianRational(0, Fraction(5, 7))) == "0+5/7i"
+
+
+def test_is_prime_on_strong_pseudoprimes_to_the_fixed_bases():
+    for n in (PSI_12, PSI_13):
+        assert not sympy.isprime(n)
+        assert not _is_prime(n)
+    assert _factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+
+
+def test_is_prime_matches_sympy_on_large_numbers():
+    rng = random.Random(6)
+    for _ in range(150):
+        n = rng.randrange(PSI_12, 10 ** 40)
+        p = int(sympy.nextprime(n))
+        q = int(sympy.nextprime(rng.randrange(10 ** 12, 10 ** 20)))
+        for m in (n, p, p * q, p * p, q * q, q * (2 * q - 1), q * (3 * q - 2)):
+            assert _is_prime(m) == sympy.isprime(m), m
+
+
+def test_strong_lucas_test_matches_sympy():
+    for n in range(3, 30000, 2):
+        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
