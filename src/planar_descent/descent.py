@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
@@ -34,11 +35,11 @@ from .equivalence import (
     LineReduction,
     P1Map,
     UndecidedDegenerateError,
-    aut_group,
     classify,
     equivalences,
     pgl2_equivalences,
     reduce_to_line,
+    symmetry_permutations,
 )
 from .plane import (
     PointConfig,
@@ -110,13 +111,17 @@ _STRUCTURES = {
 }
 
 
-def element_order(g: SemiProjMap, cap: int = 1000) -> int:
-    power = g
-    for k in range(1, cap + 1):
-        if power.is_identity():
-            return k
-        power = power * g
-    raise InternalError("element order exceeds cap")
+def _element_order(perm, antiholo):
+    """lcm of the cycle lengths of perm, made even when antiholo is set."""
+    order, seen = 2 if antiholo else 1, set()
+    for k in perm:
+        length = 0
+        while k not in seen:
+            seen.add(k)
+            k = perm[k]
+            length += 1
+        order = lcm(order, length or 1)
+    return order
 
 
 def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerGroup:
@@ -124,23 +129,19 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
 
     The holomorphic part is the automorphism group; the antiholomorphic
     part collects (A, anti) for every A carrying conj(S) onto S, and is
-    empty or a coset of the holomorphic part.  Closure and inverses are
-    verified before returning.
+    empty or a coset of the holomorphic part.  Closure, inverses and
+    element orders are checked on the point permutations
+    (`symmetry_permutations`); that is exact because S has a frame, so
+    a symmetry is determined by its permutation and its flag.
     """
-    holos = aut_group(config, max_points)
+    holos = equivalences(config, config, max_points)
     anti_matrices = equivalences(config.conj(), config, max_points)
     antis = [SemiProjMap(m.matrix, antiholo=True) for m in anti_matrices]
     if antis and len(antis) != len(holos):
         raise InternalError("antiholomorphic part is not a coset")
     elements = sorted(holos + antis, key=SemiProjMap.key)
-    keys = {g.key() for g in elements}
-    for g in elements:
-        if g.inverse().key() not in keys:
-            raise InternalError("normalizer not closed under inverse")
-        for h in elements:
-            if (g * h).key() not in keys:
-                raise InternalError("normalizer not closed under composition")
-    profile = tuple(sorted(element_order(g, cap=len(elements) + 1) for g in elements))
+    pairs = symmetry_permutations(config, elements)
+    profile = tuple(sorted(_element_order(p, a) for p, a in pairs))
     structure = _STRUCTURES.get(profile, "other")
     return NormalizerGroup(
         elements=tuple(elements),

@@ -127,17 +127,11 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
 # through _zkey, which needs integer gcds only.
 
 
-def _int_triple(point: ProjPoint):
-    denominators = []
-    for c in point.coords:
-        denominators.append(c.re.denominator)
-        denominators.append(c.im.denominator)
-    m = lcm(*denominators)
-    out = []
-    for c in point.coords:
-        out.append(int(c.re * m))
-        out.append(int(c.im * m))
-    return tuple(out)
+def _zclear(values):
+    """Re and im parts of Q(i) values times their common denominator."""
+    parts = [x for c in values for x in (c.re, c.im)]
+    m = lcm(*[x.denominator for x in parts])
+    return tuple([int(x * m) for x in parts])
 
 
 def _zdet3(p, q, r):
@@ -314,16 +308,16 @@ def equivalences(source: PointConfig, target: PointConfig,
         return []
 
     frame_adj = _zadjugate(
-        _zframe_matrix(*(_int_triple(p) for p in cls.frame))
+        _zframe_matrix(*(_zclear(p.coords) for p in cls.frame))
     )
-    source_coords = [_zmatvec(frame_adj, _int_triple(p)) for p in source.points]
+    source_coords = [_zmatvec(frame_adj, _zclear(p.coords)) for p in source.points]
     by_keys = {}
     for p_sigma in _FRAME_ORDERINGS:
         keys = frozenset(_zkey(_zmatvec(p_sigma, v)) for v in source_coords)
         by_keys.setdefault(keys, []).append(_zmatmul(p_sigma, frame_adj))
 
     source_keys = frozenset().union(*by_keys)
-    target_ints = [_int_triple(p) for p in target.points]
+    target_ints = [_zclear(p.coords) for p in target.points]
     found = []
     for quad in itertools.combinations(target_ints, 4):
         a, b, c, d = quad
@@ -348,18 +342,52 @@ def equivalences(source: PointConfig, target: PointConfig,
     return maps
 
 
+def symmetry_permutations(config: PointConfig, maps):
+    """The (permutation, antiholo) pair of each map, verified to form a group.
+
+    Entry k of a permutation indexes the image of config.points[k].
+    Raises InternalError unless every map permutes the points and the
+    pairs are distinct, contain the identity, and are closed under
+    inverse and composition, (p, a) . (q, b) = (p o q, a xor b).  This
+    is exact for configurations with a frame: a holomorphic map fixing
+    every point is the identity, so the pair determines the symmetry.
+    The flag is needed because conjugation fixes a real set pointwise.
+    """
+    points = [_zclear(p.coords) for p in config.points]
+    conj_points = [(ar, -ai, br, -bi, cr, -ci) for ar, ai, br, bi, cr, ci in points]
+    index = {_zkey(v): k for k, v in enumerate(points)}
+    n = len(points)
+    pairs = []
+    for g in maps:
+        m = _zclear([x for row in g.matrix for x in row])
+        m = (m[0:6], m[6:12], m[12:18])
+        vectors = conj_points if g.antiholo else points
+        perm = tuple([index.get(_zkey(_zmatvec(m, v))) for v in vectors])
+        if None in perm or len(set(perm)) != n:
+            raise InternalError(f"{g!r} does not permute the configuration")
+        pairs.append((perm, g.antiholo))
+    table = set(pairs)
+    if len(table) != len(pairs):
+        raise InternalError("two symmetries induce the same permutation")
+    if (tuple(range(n)), False) not in table:
+        raise InternalError("symmetries lost the identity")
+    for p, a in pairs:
+        if (tuple(sorted(range(n), key=p.__getitem__)), a) not in table:
+            raise InternalError("symmetries not closed under inverse")
+        for q, b in pairs:
+            if (tuple([p[k] for k in q]), a ^ b) not in table:
+                raise InternalError("symmetries not closed under composition")
+    return pairs
+
+
 def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
-    """The automorphism group of the configuration, verified to be a group."""
+    """The automorphism group of the configuration, verified to be a group.
+
+    Identity, inverses and closure are checked on the point permutations
+    (`symmetry_permutations`), exact because the configuration has a frame.
+    """
     elements = equivalences(config, config, max_points)
-    table = {g.key() for g in elements}
-    if SemiProjMap.identity().key() not in table:
-        raise InternalError("automorphism enumeration lost the identity")
-    for g in elements:
-        if g.inverse().key() not in table:
-            raise InternalError("automorphism set not closed under inverse")
-        for h in elements:
-            if (g * h).key() not in table:
-                raise InternalError("automorphism set not closed under composition")
+    symmetry_permutations(config, elements)
     return elements
 
 

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
+import planar_descent.descent as descent_module
+from planar_descent.errors import InternalError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.descent import (
     NotACocycleError,
     descends_real,
-    element_order,
     fom_real,
     hilbert90_split,
     normalizer,
     real_model_check,
 )
-from planar_descent.equivalence import NeedsReductionError
+from planar_descent.equivalence import NeedsReductionError, aut_group, equivalences
 from planar_descent.plane import (
     PointConfig,
     ProjPoint,
@@ -22,6 +23,7 @@ from planar_descent.plane import (
     det3,
     matmul3,
 )
+from test_equivalence import FAULT_MESSAGES, drop_involution_or_swap
 
 
 def pt(a, b, c):
@@ -97,10 +99,55 @@ def test_normalizer_degenerate_raises():
         normalizer(config)
 
 
-def test_element_order():
-    assert element_order(SemiProjMap.identity()) == 1
-    assert element_order(M) == 2
-    assert element_order(SemiProjMap(J.matrix, antiholo=True)) == 4
+SQUARE = [pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)]
+
+
+def _matrix_order(g, cap):
+    power = g
+    for k in range(1, cap + 1):
+        if power.is_identity():
+            return k
+        power = power * g
+    raise AssertionError(f"{g!r} has order above {cap}")
+
+
+def test_normalizer_orders_and_closure_match_matrix_oracle():
+    # the oracle composes and powers the matrices themselves
+    assert _matrix_order(M, 2) == 2
+    assert _matrix_order(SemiProjMap(J.matrix, antiholo=True), 4) == 4
+    cases = [
+        (STANDARD_FRAME, 48),
+        (PointConfig(SQUARE + [pt(0, 0, 1)]), 16),
+        (PointConfig(SQUARE + [pt(0, 0, 1), pt(1, "0+1i", 0)]), 8),
+        (_random_twist(random.Random(4)).apply(_paper_family(["2+1i"])), 4),
+    ]
+    for config, order in cases:
+        group = normalizer(config)
+        assert group.order == order
+        assert group.holomorphic == tuple(aut_group(config))
+        elements = set(group.elements)
+        assert len(elements) == order
+        assert SemiProjMap.identity() in elements
+        for g in group.elements:
+            assert g.apply(config) == config
+            assert g.inverse() in elements
+            for h in group.elements:
+                assert g * h in elements
+        assert group.order_profile == tuple(
+            sorted(_matrix_order(g, order) for g in group.elements)
+        )
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_MESSAGES))
+def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
+    # the fault hits the holomorphic and the antiholomorphic enumeration
+    # alike, so the coset-size check passes and the group checks must fire
+    def faulty(source, target, max_points):
+        return drop_involution_or_swap(equivalences(source, target, max_points), fault)
+
+    monkeypatch.setattr(descent_module, "equivalences", faulty)
+    with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
+        normalizer(STANDARD_FRAME)
 
 
 def test_structure_tags_cover_small_groups():

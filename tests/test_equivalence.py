@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import planar_descent.equivalence as equivalence_module
+from planar_descent.errors import InternalError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.equivalence import (
     ConfigTag,
@@ -20,6 +22,7 @@ from planar_descent.equivalence import (
     equivalences,
     pgl2_equivalences,
     reduce_to_line,
+    symmetry_permutations,
 )
 from planar_descent.plane import (
     PointConfig,
@@ -316,7 +319,7 @@ def test_equivalences_match_brute_force():
 
 
 def test_projective_key_is_scale_invariant_and_separates_points():
-    from planar_descent.equivalence import _int_triple, _zkey
+    from planar_descent.equivalence import _zclear, _zkey
 
     rng = random.Random(25)
     for _ in range(200):
@@ -333,7 +336,7 @@ def test_projective_key_is_scale_invariant_and_separates_points():
         assert _zkey(tuple(scaled)) == _zkey(v)
     for size in (5, 8, 12):
         config = _random_config(rng, size)
-        assert len({_zkey(_int_triple(p)) for p in config}) == size
+        assert len({_zkey(_zclear(p.coords)) for p in config}) == size
 
 
 def test_equivalences_form_left_coset():
@@ -372,6 +375,75 @@ def test_paper_family_aut_is_i_and_m():
 
 def test_family_f_aut_order_24():
     assert len(aut_group(FAMILY_F)) == 24
+
+
+def test_symmetry_permutations_rejects_non_permutations():
+    config = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1),
+                          pt(2, 0, 1)])
+    # singular, so built past the constructor: every image lies in the
+    # configuration, but (1:0:0) and (0:1:0) both go to (1:0:0)
+    merging = object.__new__(SemiProjMap)
+    merging.matrix = tuple(
+        tuple(gq(x) for x in row) for row in ((1, 1, 0), (0, 0, 0), (0, 0, 1))
+    )
+    merging.antiholo = False
+    assert merging.apply(pt(1, 1, 1)) == pt(2, 0, 1)
+    # (1:1:1) goes to (2:1:1), which is not in the configuration
+    outside = SemiProjMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for g in (merging, outside):
+        with pytest.raises(InternalError, match="does not permute"):
+            symmetry_permutations(config, [SemiProjMap.identity(), g])
+
+    pairs = symmetry_permutations(STANDARD_FRAME, aut_group(STANDARD_FRAME))
+    assert {perm for perm, _ in pairs} == set(itertools.permutations(range(4)))
+
+
+def test_symmetry_permutations_checks_the_group_axioms():
+    identity = SemiProjMap.identity()
+    cycle = SemiProjMap(((0, 0, 1), (1, 0, 0), (0, 1, 0)))   # order 3
+    swap01 = SemiProjMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    swap12 = SemiProjMap(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    faulty = {
+        "two symmetries induce the same permutation": [identity, swap01, swap01],
+        "lost the identity": [swap01],
+        "not closed under inverse": [identity, cycle],
+        "not closed under composition": [identity, swap01, swap12],
+    }
+    for message, maps in faulty.items():
+        with pytest.raises(InternalError, match=message):
+            symmetry_permutations(STANDARD_FRAME, maps)
+    # points in stored order (0:0:1), (0:1:0), (1:0:0), (1:1:1)
+    group = [identity, cycle, cycle * cycle]
+    assert symmetry_permutations(STANDARD_FRAME, group) == [
+        ((0, 1, 2, 3), False), ((2, 0, 1, 3), False), ((1, 2, 0, 3), False)
+    ]
+
+
+def drop_involution_or_swap(maps, fault):
+    """maps with its first non-identity involution removed or replaced.
+
+    An involution is its own inverse, so dropping it leaves the set closed
+    under inverse; only the composition check can catch it.
+    """
+    k = next(k for k, g in enumerate(maps)
+             if not g.is_identity() and (g * g).is_identity())
+    stranger = SemiProjMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return maps[:k] + ([] if fault == "drop" else [stranger]) + maps[k + 1:]
+
+
+FAULT_MESSAGES = {"drop": "not closed under composition", "swap": "does not permute"}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_MESSAGES))
+def test_aut_group_rejects_a_faulty_enumeration(monkeypatch, fault):
+    original = equivalences
+
+    def faulty(source, target, max_points):
+        return drop_involution_or_swap(original(source, target, max_points), fault)
+
+    monkeypatch.setattr(equivalence_module, "equivalences", faulty)
+    with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
+        aut_group(FAMILY_F)
 
 
 # --- reduction to the line -----------------------------------------------------------
