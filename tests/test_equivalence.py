@@ -436,10 +436,8 @@ FAULT_MESSAGES = {"drop": "not closed under composition", "swap": "does not perm
 
 @pytest.mark.parametrize("fault", sorted(FAULT_MESSAGES))
 def test_aut_group_rejects_a_faulty_enumeration(monkeypatch, fault):
-    original = equivalences
-
     def faulty(source, target, max_points):
-        return drop_involution_or_swap(original(source, target, max_points), fault)
+        return drop_involution_or_swap(equivalences(source, target, max_points), fault)
 
     monkeypatch.setattr(equivalence_module, "equivalences", faulty)
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
