@@ -35,12 +35,8 @@ from .equivalence import (
     ConfigTag,
     LineReduction,
     NeedsReductionError,
-    P1Config,
-    P1Map,
-    P1Point,
     TooManyPointsError,
     TooSmallError,
-    UndecidedDegenerateError,
     WrongClassError,
     aut_group,
     classify,

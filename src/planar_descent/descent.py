@@ -33,8 +33,6 @@ from .equivalence import (
     MAX_POINTS,
     ConfigTag,
     LineReduction,
-    P1Map,
-    UndecidedDegenerateError,
     classify,
     equivalences,
     pgl2_equivalences,
@@ -44,11 +42,11 @@ from .equivalence import (
 from .plane import (
     PointConfig,
     SemiProjMap,
-    adjugate3,
+    adjugate,
     collinear,
     conj_matrix,
     det3,
-    matmul3,
+    matmul,
 )
 
 
@@ -194,7 +192,7 @@ def hilbert90_split(matrix, seed: int = 0):
     determinant = det3(rows)
     if not determinant:
         raise InvalidInputError("cocycle matrix must be invertible")
-    product = matmul3(rows, conj_matrix(rows))
+    product = matmul(rows, conj_matrix(rows))
     if not _is_scalar3(product):
         raise NotACocycleError("A . conj(A) is not scalar")
     mu = product[0][0]
@@ -212,13 +210,13 @@ def hilbert90_split(matrix, seed: int = 0):
     )
     for attempt in range(100):
         trial = identity if attempt == 0 else _random_trial_matrix(rng)
-        candidate = matmul3(cocycle, conj_matrix(trial))
+        candidate = matmul(cocycle, conj_matrix(trial))
         b = tuple(
             tuple(candidate[r][c] + trial[r][c] for c in range(3)) for r in range(3)
         )
         if not det3(b):
             continue
-        if matmul3(cocycle, conj_matrix(b)) != b:
+        if matmul(cocycle, conj_matrix(b)) != b:
             raise InternalError("splitting identity failed on an invertible trial")
         lead = next(x for row in b for x in row if x)
         return _scale_matrix(b, lead.inverse())
@@ -246,8 +244,25 @@ def _certificate_from_involution(config, tau, seed, route, witness):
     )
 
 
-def _descend_frame(config, seed, max_points):
-    anti_matrices = equivalences(config.conj(), config, max_points)
+def _conjugate_equivalences(config, max_points):
+    """The route deciding S, with its holomorphic maps carrying conj(S) onto S.
+
+    Returns (route, maps, reduction).  On the "frame" route the maps are
+    the 3x3 equivalences of conj(S) with S; on the "line" route they are
+    the 2x2 maps of the reduced line configuration `reduction.config`.
+    The "tiny" route enumerates nothing (maps is None): it always descends.
+    """
+    tag = classify(config, max_points).tag
+    if tag is ConfigTag.HAS_FRAME:
+        return "frame", equivalences(config.conj(), config, max_points), None
+    if tag is ConfigTag.TINY:
+        return "tiny", None, None
+    reduction = reduce_to_line(config, max_points)
+    line_config = reduction.config
+    return "line", pgl2_equivalences(line_config.conj(), line_config, max_points), reduction
+
+
+def _descend_frame(config, anti_matrices, seed):
     antis = [SemiProjMap(m.matrix, antiholo=True) for m in anti_matrices]
     if not antis:
         return DescentCertificate(
@@ -323,7 +338,7 @@ def _descend_tiny(config):
     model = g.apply(config)
     splitter = g.inverse()
     cocycle = SemiProjMap(
-        matmul3(splitter.matrix, adjugate3(conj_matrix(splitter.matrix))),
+        matmul(splitter.matrix, adjugate(conj_matrix(splitter.matrix))),
         antiholo=True,
     )
     if cocycle.apply(config) != config or not (cocycle * cocycle).is_identity():
@@ -343,18 +358,11 @@ def _lift_line_map(reduction: LineReduction, matrix2) -> SemiProjMap:
         (matrix2[1][0], matrix2[1][1], zero),
         (zero, zero, one),
     )
-    m = matmul3(matmul3(h, block), adjugate3(conj_matrix(h)))
+    m = matmul(matmul(h, block), adjugate(conj_matrix(h)))
     return SemiProjMap(m, antiholo=True)
 
 
-def _descend_line(config, seed, max_points):
-    reduction = reduce_to_line(config, max_points)
-    line_config = reduction.config
-    if len(line_config) < 3:
-        raise UndecidedDegenerateError(
-            "fewer than three points on the line: symmetries are infinite"
-        )
-    candidates = pgl2_equivalences(line_config.conj(), line_config, max_points)
+def _descend_line(config, reduction, candidates, seed):
     if not candidates:
         return DescentCertificate(
             fom_real=False, fom_witness=None, descends=False, real_model=None,
@@ -365,8 +373,8 @@ def _descend_line(config, seed, max_points):
     chosen = None
     positive_non_norm = False
     for n in candidates:
-        sigma = P1Map(n.matrix, antiholo=True)
-        square = sigma.raw_square()
+        # the square of the antiholomorphic map x -> N conj(x), unscaled
+        square = matmul(n.matrix, conj_matrix(n.matrix))
         if square[0][1] or square[1][0] or square[0][0] != square[1][1]:
             continue
         mu = square[0][0]
@@ -379,7 +387,7 @@ def _descend_line(config, seed, max_points):
         except NotANormError:
             positive_non_norm = True
             continue
-        chosen = _scale_matrix(sigma.matrix, t)
+        chosen = _scale_matrix(n.matrix, t)
         break
 
     if chosen is not None:
@@ -410,37 +418,29 @@ def _descend_line(config, seed, max_points):
 def fom_real(config: PointConfig, max_points: int = MAX_POINTS):
     """Is conj(S) linearly equivalent to S?  Returns (verdict, witness).
 
-    The witness is an antiholomorphic symmetry of S (the least one, for
-    configurations with a frame): its matrix carries conj(S) onto S.
+    The witness is an antiholomorphic symmetry of S: the least one for
+    configurations with a frame, the lift of the least line-level map on
+    the line route.  Its matrix carries conj(S) onto S.
     """
-    cls = classify(config, max_points)
-    if cls.tag is ConfigTag.HAS_FRAME:
-        matrices = equivalences(config.conj(), config, max_points)
-        if not matrices:
-            return False, None
-        return True, SemiProjMap(matrices[0].matrix, antiholo=True)
-    if cls.tag is ConfigTag.TINY:
+    route, maps, reduction = _conjugate_equivalences(config, max_points)
+    if route == "tiny":
         return True, _descend_tiny(config).fom_witness
-    reduction = reduce_to_line(config, max_points)
-    if len(reduction.config) < 3:
-        raise UndecidedDegenerateError(
-            "fewer than three points on the line: symmetries are infinite"
-        )
-    candidates = pgl2_equivalences(reduction.config.conj(), reduction.config, max_points)
-    if not candidates:
+    if not maps:
         return False, None
-    return True, _lift_line_map(reduction, candidates[0].matrix)
+    if route == "line":
+        return True, _lift_line_map(reduction, maps[0].matrix)
+    return True, SemiProjMap(maps[0].matrix, antiholo=True)
 
 
 def descends_real(config: PointConfig, seed: int = 0,
                   max_points: int = MAX_POINTS) -> DescentCertificate:
     """Decide descent to the real projective plane, with a certificate."""
-    cls = classify(config, max_points)
-    if cls.tag is ConfigTag.HAS_FRAME:
-        return _descend_frame(config, seed, max_points)
-    if cls.tag is ConfigTag.TINY:
+    route, maps, reduction = _conjugate_equivalences(config, max_points)
+    if route == "tiny":
         return _descend_tiny(config)
-    return _descend_line(config, seed, max_points)
+    if route == "line":
+        return _descend_line(config, reduction, maps, seed)
+    return _descend_frame(config, maps, seed)
 
 
 def real_model_check(config: PointConfig, certificate: DescentCertificate):
@@ -455,7 +455,7 @@ def real_model_check(config: PointConfig, certificate: DescentCertificate):
     if model.conj() != model:
         return False, "conj-instability"
     recomputed = SemiProjMap(
-        matmul3(splitter.matrix, adjugate3(conj_matrix(splitter.matrix))),
+        matmul(splitter.matrix, adjugate(conj_matrix(splitter.matrix))),
         antiholo=True,
     )
     if not cocycle.antiholo or recomputed.matrix != cocycle.matrix:

@@ -13,7 +13,8 @@ source key set onto that of Q.  The search is exact and complete.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
-line, where triples of distinct points play the role of frames.
+line, as configurations of two-coordinate points acted on by 2x2 maps,
+where triples of distinct points play the role of frames.
 
 The inner enumeration runs on cleared-denominator Gaussian-integer
 coordinates: 4-subsets are filtered and keyed with pure integer
@@ -30,14 +31,16 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError
-from .gaussian import GaussianRational, format_gq, gq
+from .gaussian import GaussianRational
 from .plane import (
     Line,
     PointConfig,
     ProjPoint,
     SemiProjMap,
+    adjugate,
     collinear,
     line_through,
+    matmul,
 )
 
 MAX_POINTS = 20
@@ -57,10 +60,6 @@ class TooSmallError(InvalidInputError):
 
 class TooManyPointsError(InvalidInputError):
     """Enumeration is guarded; exactness is kept by rejecting large inputs."""
-
-
-class UndecidedDegenerateError(InvalidInputError):
-    """Degenerate shape whose reduced problem still has infinitely many symmetries."""
 
 
 class ConfigTag(Enum):
@@ -103,6 +102,8 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
         raise TooManyPointsError(
             f"{n} points exceed the enumeration guard of {max_points}"
         )
+    if len(config.points[0].coords) != 3:
+        raise InvalidInputError("classification needs points of the plane")
     if n <= 3:
         return ConfigClass(ConfigTag.TINY)
     pts = config.points
@@ -394,179 +395,11 @@ def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
 # --- the projective line --------------------------------------------------------
 
 
-def _canonical_pair(coords):
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise InvalidInputError("projective coordinates must not all be zero")
-    inv = lead.inverse()
-    return tuple(c * inv for c in coords)
-
-
-class P1Point:
-    """A point of the projective line, leftmost nonzero coordinate scaled to 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, s, t):
-        self.coords = _canonical_pair((gq(s), gq(t)))
-
-    def conj(self):
-        return P1Point(*(c.conj() for c in self.coords))
-
-    def key(self):
-        return tuple(format_gq(c) for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Point):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("p1", self.coords))
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        return f"P1Point{self.coords!r}"
-
-    def __str__(self):
-        return "(" + ":".join(format_gq(c) for c in self.coords) + ")"
-
-
-class P1Config:
-    """A finite set of distinct points on the projective line."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        pts = sorted(points, key=P1Point.key)
-        if not pts:
-            raise InvalidInputError("a configuration needs at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise InvalidInputError(f"duplicate point {a}")
-        self.points = tuple(pts)
-
-    def conj(self):
-        return P1Config(p.conj() for p in self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __contains__(self, p):
-        return p in self.points
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Config):
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return "P1Config([" + ", ".join(str(p) for p in self.points) + "])"
-
-
 def _det2(p, q):
     return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
 
 
-class P1Map:
-    """An invertible map of the projective line, optionally semilinear."""
-
-    __slots__ = ("matrix", "antiholo")
-
-    def __init__(self, matrix, antiholo=False):
-        rows = tuple(tuple(gq(x) for x in row) for row in matrix)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise InvalidInputError("matrix must be 2x2")
-        lead = next((x for row in rows for x in row if x), None)
-        if lead is None:
-            raise InvalidInputError("zero matrix is not a projective map")
-        inv = lead.inverse()
-        rows = tuple(tuple(x * inv for x in row) for row in rows)
-        if not (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]):
-            raise InvalidInputError("matrix is singular")
-        self.matrix = rows
-        self.antiholo = bool(antiholo)
-
-    @classmethod
-    def identity(cls):
-        return cls(((1, 0), (0, 1)))
-
-    def is_identity(self):
-        return not self.antiholo and self.matrix == P1Map.identity().matrix
-
-    def raw_square(self):
-        """The matrix of self . self before canonical rescaling, as rows."""
-        rhs = tuple(tuple(x.conj() for x in row) for row in self.matrix) \
-            if self.antiholo else self.matrix
-        m = self.matrix
-        return tuple(
-            tuple(m[r][0] * rhs[0][c] + m[r][1] * rhs[1][c] for c in range(2))
-            for r in range(2)
-        )
-
-    def apply(self, obj):
-        if isinstance(obj, P1Config):
-            return P1Config(self.apply(p) for p in obj)
-        s, t = obj.coords
-        if self.antiholo:
-            s, t = s.conj(), t.conj()
-        m = self.matrix
-        return P1Point(m[0][0] * s + m[0][1] * t, m[1][0] * s + m[1][1] * t)
-
-    def compose(self, other):
-        rhs = tuple(tuple(x.conj() for x in row) for row in other.matrix) \
-            if self.antiholo else other.matrix
-        m = self.matrix
-        prod = tuple(
-            tuple(m[r][0] * rhs[0][c] + m[r][1] * rhs[1][c] for c in range(2))
-            for r in range(2)
-        )
-        return P1Map(prod, self.antiholo ^ other.antiholo)
-
-    def __mul__(self, other):
-        if not isinstance(other, P1Map):
-            return NotImplemented
-        return self.compose(other)
-
-    def inverse(self):
-        m = self.matrix
-        adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        if self.antiholo:
-            adj = tuple(tuple(x.conj() for x in row) for row in adj)
-        return P1Map(adj, self.antiholo)
-
-    def key(self):
-        # identity sorts first within each flag class
-        return (self.antiholo, not self.is_identity()) + tuple(
-            format_gq(x) for row in self.matrix for x in row
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Map):
-            return NotImplemented
-        return self.antiholo == other.antiholo and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(("p1map", self.antiholo, self.matrix))
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        kind = "antiholo" if self.antiholo else "holo"
-        rows = "; ".join(" ".join(format_gq(x) for x in row) for row in self.matrix)
-        return f"P1Map<{kind}: {rows}>"
-
-
-def cross_ratio(z1: P1Point, z2: P1Point, z3: P1Point, z4: P1Point) -> GaussianRational:
+def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> GaussianRational:
     """cr(z1, z2, z3, z4) = ((z1-z3)(z2-z4)) / ((z1-z4)(z2-z3)), homogeneously."""
     num = _det2(z1, z3) * _det2(z2, z4)
     den = _det2(z1, z4) * _det2(z2, z3)
@@ -585,7 +418,7 @@ def _triple_frame_matrix(q0, q1, q2):
     )
 
 
-def pgl2_equivalences(source: P1Config, target: P1Config,
+def pgl2_equivalences(source: PointConfig, target: PointConfig,
                       max_points: int = MAX_POINTS):
     """Every holomorphic map of the line with g(source) = target, sorted.
 
@@ -594,6 +427,8 @@ def pgl2_equivalences(source: P1Config, target: P1Config,
     are tried.  Fewer than three points leaves infinitely many maps
     (TooSmallError).
     """
+    if len(source.points[0].coords) != 2 or len(target.points[0].coords) != 2:
+        raise InvalidInputError("pgl2_equivalences needs points of the line")
     if len(source) < 3 or len(target) < 3:
         raise TooSmallError(
             "configurations on the line need at least three points"
@@ -605,25 +440,16 @@ def pgl2_equivalences(source: P1Config, target: P1Config,
     if len(source) != len(target):
         return []
     base = source.points[:3]
-    mb = _triple_frame_matrix(*base)
-    base_inv = ((mb[1][1], -mb[0][1]), (-mb[1][0], mb[0][0]))
+    base_inv = adjugate(_triple_frame_matrix(*base))
     source_rest = [p for p in source.points if p not in set(base)]
     target_set = set(target.points)
 
     found = []
     for triple in itertools.permutations(target.points, 3):
-        mt = _triple_frame_matrix(*triple)
-        prod = tuple(
-            tuple(
-                mt[r][0] * base_inv[0][c] + mt[r][1] * base_inv[1][c]
-                for c in range(2)
-            )
-            for r in range(2)
-        )
-        g = P1Map(prod)
+        g = SemiProjMap(matmul(_triple_frame_matrix(*triple), base_inv))
         if all(g.apply(p) in target_set for p in source_rest):
             found.append(g)
-    found.sort(key=P1Map.key)
+    found.sort(key=SemiProjMap.key)
     if len({g.key() for g in found}) != len(found):
         raise InternalError("duplicate maps in line enumeration")
     return found
@@ -639,17 +465,17 @@ class LineReduction:
     `basis` holds two vectors spanning the line (the reduced row echelon
     basis of the dual's kernel), `off` a third vector completing them to
     a basis of the plane: the residue point if there is one, else the
-    unit vector off the line.  `config` collects the on-line points in
-    the chart  s*basis[0] + t*basis[1]  ->  (s:t).
+    unit vector off the line.  `config` collects the on-line points as
+    two-coordinate points in the chart  s*basis[0] + t*basis[1]  ->  (s:t).
     """
 
-    config: P1Config
+    config: PointConfig
     basis: tuple
     off: tuple
     line: Line
     residue: Optional[ProjPoint]
 
-    def to_plane(self, p: P1Point) -> ProjPoint:
+    def to_plane(self, p: ProjPoint) -> ProjPoint:
         s, t = p.coords
         b0, b1 = self.basis
         return ProjPoint(*(s * b0[k] + t * b1[k] for k in range(3)))
@@ -694,13 +520,13 @@ def reduce_to_line(config: PointConfig, max_points: int = MAX_POINTS) -> LineRed
 
     b0, b1 = basis_vector(free[0]), basis_vector(free[1])
     on_line = [p for p in config if residue is None or p != residue]
-    p1pts = [P1Point(p.coords[free[0]], p.coords[free[1]]) for p in on_line]
+    line_points = [ProjPoint(p.coords[free[0]], p.coords[free[1]]) for p in on_line]
     if residue is not None:
         off = residue.coords
     else:
         off = tuple(one if k == pivot else zero for k in range(3))
     return LineReduction(
-        config=P1Config(p1pts),
+        config=PointConfig(line_points),
         basis=(b0, b1),
         off=off,
         line=line,

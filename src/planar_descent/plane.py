@@ -1,8 +1,9 @@
-"""Projective-plane primitives with exact canonical representatives.
+"""Projective line and plane primitives with exact canonical representatives.
 
-Points, lines and conics over Q(i), plus semilinear maps: a projective
-linear map together with a flag saying whether coordinatewise complex
-conjugation is applied first.  Everything is canonicalized on
+Points of the line (two coordinates) and of the plane (three), lines and
+conics over Q(i), plus semilinear maps of either: a projective linear
+map (2x2 or 3x3) together with a flag saying whether coordinatewise
+complex conjugation is applied first.  Everything is canonicalized on
 construction, so equality and hashing are structural:
 
   * points and lines scale their leftmost nonzero coordinate to 1;
@@ -27,7 +28,7 @@ class DegenerateInputError(InvalidInputError):
     """Geometric input without the uniqueness the operation requires."""
 
 
-# --- exact 3x3 linear algebra -------------------------------------------------
+# --- exact linear algebra ------------------------------------------------------
 
 
 def det3(m):
@@ -41,8 +42,10 @@ def _cof(m, r0, r1, c0, c1):
     return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
 
 
-def adjugate3(m):
-    """Transpose of the cofactor matrix; equals det(m) * inverse(m)."""
+def adjugate(m):
+    """Transpose of the cofactor matrix of a 2x2 or 3x3 matrix; det(m) * inverse(m)."""
+    if len(m) == 2:
+        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
     return (
         (_cof(m, 1, 2, 1, 2), -_cof(m, 0, 2, 1, 2), _cof(m, 0, 1, 1, 2)),
         (-_cof(m, 1, 2, 0, 2), _cof(m, 0, 2, 0, 2), -_cof(m, 0, 1, 0, 2)),
@@ -50,17 +53,18 @@ def adjugate3(m):
     )
 
 
-def matmul3(a, b):
+def matmul(a, b):
+    n = len(a)
     return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(3)), GaussianRational(0)) for c in range(3))
-        for r in range(3)
+        tuple(sum((a[r][k] * b[k][c] for k in range(n)), GaussianRational(0)) for c in range(n))
+        for r in range(n)
     )
 
 
-def matvec3(m, v):
-    return tuple(
-        m[r][0] * v[0] + m[r][1] * v[1] + m[r][2] * v[2] for r in range(3)
-    )
+def matvec(m, v):
+    if len(v) == 3:
+        return tuple([row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m])
+    return tuple([row[0] * v[0] + row[1] * v[1] for row in m])
 
 
 def conj_matrix(m):
@@ -95,7 +99,7 @@ def rref(rows):
 # --- points, lines, conics ----------------------------------------------------
 
 
-def _canonical_triple(coords):
+def _canonical(coords):
     coords = tuple(gq(c) for c in coords)
     lead = next((c for c in coords if c), None)
     if lead is None:
@@ -105,12 +109,19 @@ def _canonical_triple(coords):
 
 
 class ProjPoint:
-    """A point of the projective plane, leftmost nonzero coordinate scaled to 1."""
+    """A point of the projective line (two coordinates) or plane (three).
+
+    The leftmost nonzero coordinate is scaled to 1.
+    """
 
     __slots__ = ("coords",)
 
-    def __init__(self, a, b, c):
-        self.coords = _canonical_triple((a, b, c))
+    def __init__(self, *coords):
+        if len(coords) not in (2, 3):
+            raise InvalidInputError(
+                f"a projective point has two or three coordinates, not {len(coords)}"
+            )
+        self.coords = _canonical(coords)
 
     def conj(self) -> "ProjPoint":
         return ProjPoint(*(c.conj() for c in self.coords))
@@ -142,7 +153,7 @@ class Line:
     __slots__ = ("dual",)
 
     def __init__(self, a, b, c):
-        self.dual = _canonical_triple((a, b, c))
+        self.dual = _canonical((a, b, c))
 
     def contains(self, p: ProjPoint) -> bool:
         d0, d1, d2 = self.dual
@@ -234,7 +245,7 @@ class Conic:
 
 
 class PointConfig:
-    """A finite set of distinct points, kept in canonical sorted order."""
+    """A finite set of distinct points of one dimension, in canonical sorted order."""
 
     __slots__ = ("points",)
 
@@ -246,6 +257,8 @@ class PointConfig:
             pts.append(p)
         if not pts:
             raise InvalidInputError("a configuration needs at least one point")
+        if len({len(p.coords) for p in pts}) != 1:
+            raise InvalidInputError("points of a configuration need equally many coordinates")
         pts.sort(key=ProjPoint.key)
         for a, b in zip(pts, pts[1:]):
             if a == b:
@@ -284,56 +297,66 @@ def conj_config(config: PointConfig) -> PointConfig:
 # --- semilinear maps ----------------------------------------------------------
 
 
-_IDENTITY_ROWS = tuple(
-    tuple(GaussianRational(1 if r == c else 0) for c in range(3)) for r in range(3)
-)
+_IDENTITY = {
+    n: tuple(tuple(GaussianRational(1 if r == c else 0) for c in range(n)) for r in range(n))
+    for n in (2, 3)
+}
 
 
 class SemiProjMap:
-    """An invertible projective map, optionally preceded by conjugation.
+    """An invertible projective map of the line or plane, optionally preceded by conjugation.
 
     The action on a point with coordinate vector v is matrix . v when
     holomorphic, matrix . conj(v) when antiholomorphic.  Matrices are
-    canonical (first nonzero entry in row-major order equals 1), so PGL
-    equality is structural.
+    2x2 (the line) or 3x3 (the plane) and canonical (first nonzero entry
+    in row-major order equals 1), so PGL equality is structural.
     """
 
     __slots__ = ("matrix", "antiholo")
 
     def __init__(self, matrix, antiholo=False):
         rows = tuple(tuple(gq(x) for x in row) for row in matrix)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise InvalidInputError("matrix must be 3x3")
+        n = len(rows)
+        if n not in (2, 3) or any(len(r) != n for r in rows):
+            raise InvalidInputError("matrix must be 2x2 or 3x3")
         lead = next((x for row in rows for x in row if x), None)
         if lead is None:
             raise InvalidInputError("zero matrix is not a projective map")
         inv = lead.inverse()
         rows = tuple(tuple(x * inv for x in row) for row in rows)
-        if not det3(rows):
+        if n == 2:
+            determinant = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        else:
+            determinant = det3(rows)
+        if not determinant:
             raise InvalidInputError("matrix is singular")
         self.matrix = rows
         self.antiholo = bool(antiholo)
 
     @classmethod
     def identity(cls) -> "SemiProjMap":
-        return cls(_IDENTITY_ROWS)
+        return cls(_IDENTITY[3])
 
     def is_identity(self) -> bool:
-        return not self.antiholo and self.matrix == _IDENTITY_ROWS
+        return not self.antiholo and self.matrix == _IDENTITY[len(self.matrix)]
 
     def apply(self, obj):
-        """Apply to a ProjPoint or a PointConfig."""
+        """Apply to a ProjPoint or a PointConfig of the map's dimension."""
         if isinstance(obj, PointConfig):
             return PointConfig(self.apply(p) for p in obj)
         v = obj.coords
+        if len(v) != len(self.matrix):
+            raise InvalidInputError("the point and the map differ in dimension")
         if self.antiholo:
             v = tuple(c.conj() for c in v)
-        return ProjPoint(*matvec3(self.matrix, v))
+        return ProjPoint(*matvec(self.matrix, v))
 
     def compose(self, other: "SemiProjMap") -> "SemiProjMap":
         """self after other, with the semilinear composition law."""
+        if len(other.matrix) != len(self.matrix):
+            raise InvalidInputError("maps of different dimensions do not compose")
         rhs = conj_matrix(other.matrix) if self.antiholo else other.matrix
-        return SemiProjMap(matmul3(self.matrix, rhs), self.antiholo ^ other.antiholo)
+        return SemiProjMap(matmul(self.matrix, rhs), self.antiholo ^ other.antiholo)
 
     def __mul__(self, other):
         if not isinstance(other, SemiProjMap):
@@ -341,15 +364,15 @@ class SemiProjMap:
         return self.compose(other)
 
     def inverse(self) -> "SemiProjMap":
-        adj = adjugate3(self.matrix)
+        adj = adjugate(self.matrix)
         if self.antiholo:
             adj = conj_matrix(adj)
         return SemiProjMap(adj, self.antiholo)
 
     def key(self):
         # identity sorts first within each flag class
-        return (self.antiholo, self.matrix != _IDENTITY_ROWS) + tuple(
-            format_gq(x) for row in self.matrix for x in row
+        return (self.antiholo, self.matrix != _IDENTITY[len(self.matrix)]) + tuple(
+            [format_gq(x) for row in self.matrix for x in row]
         )
 
     def __eq__(self, other):

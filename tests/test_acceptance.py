@@ -40,11 +40,11 @@ from planar_descent.plane import (
     PointConfig,
     ProjPoint,
     SemiProjMap,
-    adjugate3,
+    adjugate,
     conic_through_5,
     conj_matrix,
     line_through,
-    matmul3,
+    matmul,
 )
 
 POOL = ("2+1i", "3+2i", "5+1i")
@@ -133,8 +133,8 @@ def test_criterion_4_round_trip_soundness():
         ok, reason = real_model_check(config, cert)
         assert ok, reason
         recovered = SemiProjMap(
-            matmul3(cert.splitter.matrix,
-                    adjugate3(conj_matrix(cert.splitter.matrix))),
+            matmul(cert.splitter.matrix,
+                    adjugate(conj_matrix(cert.splitter.matrix))),
             antiholo=True,
         )
         assert recovered.matrix == cert.cocycle.matrix

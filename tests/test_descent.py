@@ -18,10 +18,10 @@ from planar_descent.plane import (
     PointConfig,
     ProjPoint,
     SemiProjMap,
-    adjugate3,
+    adjugate,
     conj_matrix,
     det3,
-    matmul3,
+    matmul,
 )
 from test_equivalence import FAULT_MESSAGES, drop_involution_or_swap
 
@@ -69,7 +69,7 @@ def test_paper_normalizer_is_c4():
     assert SemiProjMap.identity().key() in keys
     assert M.key() in keys
     assert SemiProjMap(J.matrix, antiholo=True).key() in keys
-    mj = SemiProjMap(matmul3(M.matrix, J.matrix), antiholo=True)
+    mj = SemiProjMap(matmul(M.matrix, J.matrix), antiholo=True)
     assert mj.key() in keys
 
 
@@ -230,11 +230,11 @@ def test_split_identity_gives_identity():
 def test_split_half_turn():
     b = hilbert90_split(M.matrix)
     # B conj(B)^-1 must equal M projectively; diag(i, i, 1) is one witness
-    recovered = SemiProjMap(matmul3(b, adjugate3(conj_matrix(b))))
+    recovered = SemiProjMap(matmul(b, adjugate(conj_matrix(b))))
     assert recovered == M
     diag_i = ((gq("0+1i"), gq(0), gq(0)), (gq(0), gq("0+1i"), gq(0)),
               (gq(0), gq(0), gq(1)))
-    check = SemiProjMap(matmul3(diag_i, adjugate3(conj_matrix(diag_i))))
+    check = SemiProjMap(matmul(diag_i, adjugate(conj_matrix(diag_i))))
     assert check == M
 
 
@@ -247,15 +247,15 @@ def test_split_random_exact_cocycles():
     rng = random.Random(32)
     for _ in range(25):
         b = _random_twist(rng)
-        cocycle = matmul3(b.matrix, adjugate3(conj_matrix(b.matrix)))
+        cocycle = matmul(b.matrix, adjugate(conj_matrix(b.matrix)))
         split = hilbert90_split(cocycle, seed=5)
-        recovered = SemiProjMap(matmul3(split, adjugate3(conj_matrix(split))))
+        recovered = SemiProjMap(matmul(split, adjugate(conj_matrix(split))))
         assert recovered == SemiProjMap(cocycle)
 
 
 def test_split_deterministic_under_seed():
     b = _random_twist(random.Random(33))
-    cocycle = matmul3(b.matrix, adjugate3(conj_matrix(b.matrix)))
+    cocycle = matmul(b.matrix, adjugate(conj_matrix(b.matrix)))
     assert hilbert90_split(cocycle, seed=9) == hilbert90_split(cocycle, seed=9)
 
 

@@ -5,14 +5,11 @@ from fractions import Fraction
 import pytest
 
 import planar_descent.equivalence as equivalence_module
-from planar_descent.errors import InternalError
+from planar_descent.errors import InternalError, InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.equivalence import (
     ConfigTag,
     NeedsReductionError,
-    P1Config,
-    P1Map,
-    P1Point,
     TooManyPointsError,
     TooSmallError,
     WrongClassError,
@@ -115,6 +112,8 @@ def test_classify_guard():
     config = PointConfig([pt(k, 1, 1) for k in range(21)])
     with pytest.raises(TooManyPointsError):
         classify(config)
+    with pytest.raises(InvalidInputError):
+        classify(PointConfig([ProjPoint(k, 1) for k in range(4)]))
 
 
 def _brute_classify_checks(config):
@@ -246,7 +245,7 @@ def brute_force_equivalences(source, target):
     tuples).  All anchors must agree, which checks that the library's
     fixed-witness choice is irrelevant.
     """
-    from planar_descent.plane import adjugate3, matmul3, matvec3
+    from planar_descent.plane import adjugate, matmul, matvec
 
     target_set = set(target.points)
     image_rows = [
@@ -259,18 +258,18 @@ def brute_force_equivalences(source, target):
         rows = _frame_rows(quad)
         if rows is None:
             continue
-        anchor_adjugate = adjugate3(rows)
+        anchor_adjugate = adjugate(rows)
         # anchor points land on the image tuple by construction; probe the rest
         quad_set = set(quad)
         probes = [
-            matvec3(anchor_adjugate, p.coords)
+            matvec(anchor_adjugate, p.coords)
             for p in source.points
             if p not in quad_set
         ]
         found = set()
         for img in image_rows:
-            if all(ProjPoint(*matvec3(img, w)) in target_set for w in probes):
-                found.add(SemiProjMap(matmul3(img, anchor_adjugate)).key())
+            if all(ProjPoint(*matvec(img, w)) in target_set for w in probes):
+                found.add(SemiProjMap(matmul(img, anchor_adjugate)).key())
         keys = sorted(found)
         assert results is None or keys == results, "anchor choice changed the answer"
         results = keys
@@ -451,7 +450,7 @@ def test_reduce_collinear_standard_chart():
     config = PointConfig([pt(k, 1, 0) for k in range(4)])
     reduction = reduce_to_line(config)
     assert reduction.residue is None
-    expected = {P1Point(k, 1) for k in range(4)}
+    expected = {ProjPoint(k, 1) for k in range(4)}
     assert set(reduction.config.points) == expected
     for p in reduction.config:
         assert reduction.to_plane(p) in config
@@ -490,20 +489,23 @@ def test_reduction_conj_matches_reducing_the_conjugate():
 
 
 def _p1(s, t):
-    return P1Point(gq(s), gq(t))
+    return ProjPoint(gq(s), gq(t))
 
 
 def test_pgl2_three_points_give_s3():
-    config = P1Config([_p1(0, 1), _p1(1, 1), _p1(1, 0)])
+    config = PointConfig([_p1(0, 1), _p1(1, 1), _p1(1, 0)])
     maps = pgl2_equivalences(config, config)
     assert len(maps) == 6
     assert maps[0].is_identity()
 
 
 def test_pgl2_too_small():
-    config = P1Config([_p1(0, 1), _p1(1, 0)])
+    config = PointConfig([_p1(0, 1), _p1(1, 0)])
     with pytest.raises(TooSmallError):
         pgl2_equivalences(config, config)
+    plane = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 1)])
+    with pytest.raises(InvalidInputError):
+        pgl2_equivalences(plane, plane)
 
 
 def _brute_pgl2(source, target):
@@ -519,7 +521,7 @@ def _brute_pgl2(source, target):
                 tuple(mt[r][0] * inv[0][c] + mt[r][1] * inv[1][c] for c in range(2))
                 for r in range(2)
             )
-            g = P1Map(prod)
+            g = SemiProjMap(prod)
             if g.apply(source) == target:
                 found[g.key()] = g
     return sorted(found)
@@ -527,7 +529,7 @@ def _brute_pgl2(source, target):
 
 def test_pgl2_four_points_match_brute_force():
     for lam in (gq(2), gq(-1), gq("2+1i"), gq("5/3")):
-        config = P1Config([_p1(0, 1), _p1(1, 1), _p1(1, 0), P1Point(lam, gq(1))])
+        config = PointConfig([_p1(0, 1), _p1(1, 1), _p1(1, 0), ProjPoint(lam, gq(1))])
         maps = pgl2_equivalences(config, config)
         assert 24 % len(maps) == 0
         assert [m.key() for m in maps] == _brute_pgl2(config, config)
@@ -540,12 +542,12 @@ def test_pgl2_preserves_cross_ratio():
         while len(values) < 4:
             values.add((rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(0, 1)))
         pts = [
-            P1Point(GaussianRational(a, b), gq(t)) if t else P1Point(gq(1), GaussianRational(a, b))
+            ProjPoint(GaussianRational(a, b), gq(t)) if t else ProjPoint(gq(1), GaussianRational(a, b))
             for a, b, t in values
         ]
         if len(set(pts)) < 4:
             continue
-        config = P1Config(pts[:4]) if len(set(pts[:4])) == 4 else None
+        config = PointConfig(pts[:4]) if len(set(pts[:4])) == 4 else None
         if config is None:
             continue
         maps = pgl2_equivalences(config, config)
@@ -558,26 +560,6 @@ def test_pgl2_preserves_cross_ratio():
                      1 / (1 - reference), (reference - 1) / reference,
                      reference / (reference - 1)}
             assert value in orbit
-
-
-def test_p1_semilinear_composition():
-    rng = random.Random(26)
-    for _ in range(40):
-        def random_p1_map():
-            while True:
-                rows = tuple(
-                    tuple(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
-                          for _ in range(2))
-                    for _ in range(2)
-                )
-                if any(x for row in rows for x in row) \
-                        and rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
-                    return P1Map(rows, antiholo=rng.random() < 0.5)
-
-        g, h = random_p1_map(), random_p1_map()
-        p = _p1(GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5)), 1)
-        assert (g * h).apply(p) == g.apply(h.apply(p))
-        assert (g * g.inverse()).is_identity()
 
 
 def test_cross_ratio_convention():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from planar_descent.errors import InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.plane import (
     Conic,
@@ -26,29 +27,29 @@ def pt(a, b, c):
     return ProjPoint(gq(a), gq(b), gq(c))
 
 
-def _random_point(rng):
+def _random_point(rng, dim=3):
     while True:
         coords = [
             GaussianRational(
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
             )
-            for _ in range(3)
+            for _ in range(dim)
         ]
         if any(coords):
             return ProjPoint(*coords)
 
 
-def _random_map(rng, antiholo=False):
-    from planar_descent.plane import det3
-
+def _random_map(rng, antiholo=False, dim=3):
     while True:
         rows = tuple(
-            tuple(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
-            for _ in range(3)
+            tuple(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(dim))
+            for _ in range(dim)
         )
-        if any(x for row in rows for x in row) and det3(rows):
+        try:
             return SemiProjMap(rows, antiholo)
+        except InvalidInputError:
+            continue
 
 
 # --- canonical forms ------------------------------------------------------------
@@ -76,6 +77,24 @@ def test_canonicalization_idempotent():
 def test_point_rejects_zero():
     with pytest.raises(Exception):
         ProjPoint(0, 0, 0)
+
+
+def test_dimension_mismatches_rejected():
+    for coords in ((1,), (1, 0, 0, 1)):
+        with pytest.raises(InvalidInputError):
+            ProjPoint(*coords)
+    with pytest.raises(InvalidInputError):
+        SemiProjMap(((1, 0, 0), (0, 1, 0)))
+    plane_map = SemiProjMap.identity()
+    line_map = SemiProjMap(((0, 1), (1, 0)))
+    with pytest.raises(InvalidInputError):
+        plane_map.apply(ProjPoint(1, 2))
+    with pytest.raises(InvalidInputError):
+        line_map.apply(pt(1, 2, 3))
+    with pytest.raises(InvalidInputError):
+        plane_map * line_map
+    with pytest.raises(InvalidInputError):
+        PointConfig([ProjPoint(1, 2), pt(1, 2, 3)])
 
 
 # --- incidence ------------------------------------------------------------------
@@ -241,12 +260,13 @@ def test_antiholo_apply_conjugates_first():
     assert phi.apply(pt("2+1i", "1", "0")) == pt("-1", "2-1i", "0")
 
 
-def test_apply_respects_composition():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_apply_respects_composition(dim):
     rng = random.Random(15)
     for _ in range(60):
-        g = _random_map(rng, antiholo=rng.random() < 0.5)
-        h = _random_map(rng, antiholo=rng.random() < 0.5)
-        p = _random_point(rng)
+        g = _random_map(rng, antiholo=rng.random() < 0.5, dim=dim)
+        h = _random_map(rng, antiholo=rng.random() < 0.5, dim=dim)
+        p = _random_point(rng, dim)
         assert (g * h).apply(p) == g.apply(h.apply(p))
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
