@@ -40,7 +40,6 @@ from .equivalence import (
     WrongClassError,
     aut_group,
     classify,
-    cross_ratio,
     equivalences,
     pgl2_equivalences,
     reduce_to_line,

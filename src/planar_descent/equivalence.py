@@ -2,23 +2,24 @@
 
 The central operation enumerates every projective-linear map carrying one
 configuration onto another.  A map is pinned down by where it sends a
-projective frame, so with one general-position 4-subset of the source
-fixed, every ordered general-position 4-tuple of the target is a
-candidate.  Candidates are matched by frame coordinates (geometric
-hashing with exact keys): the source points are written in the fixed
-frame once, each unordered target 4-subset Q contributes the key set of
-the target points written in the frame Q, and an ordering of Q is
-accepted exactly when its permutation of the standard frame carries the
-source key set onto that of Q.  The search is exact and complete.
+projective frame (d + 1 points in general position in dimension d: four
+in the plane, three distinct points on the line), so with one frame of
+the source fixed, every ordered frame of the target is a candidate.
+Candidates are matched by frame coordinates (geometric hashing with exact
+keys): the source points are written in the fixed frame once, each
+unordered target frame Q contributes the key set of the target points
+written in the frame Q, and an ordering of Q is accepted exactly when its
+permutation of the standard frame carries the source key set onto that
+of Q.  The search is exact and complete, and one keyed enumeration
+serves both dimensions.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
-line, as configurations of two-coordinate points acted on by 2x2 maps,
-where triples of distinct points play the role of frames.
+line, as configurations of two-coordinate points acted on by 2x2 maps.
 
 The inner enumeration runs on cleared-denominator Gaussian-integer
-coordinates: 4-subsets are filtered and keyed with pure integer
-arithmetic, and only accepted maps are rebuilt over Q(i).
+coordinates: frames are tested and keyed with pure integer arithmetic,
+and only accepted maps are rebuilt over Q(i).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
@@ -37,10 +37,7 @@ from .plane import (
     PointConfig,
     ProjPoint,
     SemiProjMap,
-    adjugate,
-    collinear,
     line_through,
-    matmul,
 )
 
 MAX_POINTS = 20
@@ -79,16 +76,6 @@ class ConfigClass:
     residue: Optional[ProjPoint] = None
 
 
-def _general_position(quad):
-    a, b, c, d = quad
-    return not (
-        collinear(a, b, c)
-        or collinear(a, b, d)
-        or collinear(a, c, d)
-        or collinear(b, c, d)
-    )
-
-
 def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     """Sort a configuration into one of four mutually exclusive classes.
 
@@ -107,9 +94,10 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     if n <= 3:
         return ConfigClass(ConfigTag.TINY)
     pts = config.points
-    for quad in itertools.combinations(pts, 4):
-        if _general_position(quad):
-            return ConfigClass(ConfigTag.HAS_FRAME, frame=quad)
+    ints = [_zclear(p.coords) for p in pts]
+    for quad in itertools.combinations(range(n), 4):
+        if _zframe_matrix3(*[ints[k] for k in quad]) is not None:
+            return ConfigClass(ConfigTag.HAS_FRAME, frame=tuple(pts[k] for k in quad))
     spanning = line_through(pts[0], pts[1])
     if all(spanning.contains(p) for p in pts[2:]):
         return ConfigClass(ConfigTag.COLLINEAR, line=spanning)
@@ -123,9 +111,12 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
 
 # --- integer fast path ---------------------------------------------------------
 #
-# A Gaussian integer is a pair of Python ints (re, im); a point is a
-# 6-tuple (ar, ai, br, bi, cr, ci).  Projective points are compared
-# through _zkey, which needs integer gcds only.
+# A Gaussian integer is a pair of Python ints (re, im); a point of the
+# line is a 4-tuple (ar, ai, br, bi), a point of the plane a 6-tuple
+# (ar, ai, br, bi, cr, ci), and a d x d matrix is a tuple of d such rows.
+# Projective points are compared through _zkey2 / _zkey3, which need
+# integer gcds only.  Each dimension has its own unrolled kernels
+# (_KERNELS), picked once per enumeration.
 
 
 def _zclear(values):
@@ -135,35 +126,64 @@ def _zclear(values):
     return tuple([int(x * m) for x in parts])
 
 
+def _zdet2(p, q):
+    ar, ai, br, bi = p
+    cr, ci, dr, di = q
+    return (
+        (ar * dr - ai * di) - (br * cr - bi * ci),
+        (ar * di + ai * dr) - (br * ci + bi * cr),
+    )
+
+
+def _zcross(u, v):
+    ar, ai, br, bi, cr, ci = u
+    dr, di, er, ei, fr, fi = v
+    return (
+        (br * fr - bi * fi) - (cr * er - ci * ei), (br * fi + bi * fr) - (cr * ei + ci * er),
+        (cr * dr - ci * di) - (ar * fr - ai * fi), (cr * di + ci * dr) - (ar * fi + ai * fr),
+        (ar * er - ai * ei) - (br * dr - bi * di), (ar * ei + ai * er) - (br * di + bi * dr),
+    )
+
+
 def _zdet3(p, q, r):
     ar, ai, br, bi, cr, ci = p
-    dr, di, er, ei, fr, fi = q
-    gr, gi, hr, hi, ir, ii = r
-    # cofactors along the first row
-    m0r = (er * ir - ei * ii) - (fr * hr - fi * hi)
-    m0i = (er * ii + ei * ir) - (fr * hi + fi * hr)
-    m1r = (dr * ir - di * ii) - (fr * gr - fi * gi)
-    m1i = (dr * ii + di * ir) - (fr * gi + fi * gr)
-    m2r = (dr * hr - di * hi) - (er * gr - ei * gi)
-    m2i = (dr * hi + di * hr) - (er * gi + ei * gr)
-    re = (ar * m0r - ai * m0i) - (br * m1r - bi * m1i) + (cr * m2r - ci * m2i)
-    im = (ar * m0i + ai * m0r) - (br * m1i + bi * m1r) + (cr * m2i + ci * m2r)
-    return re, im
+    xr, xi, yr, yi, zr, zi = _zcross(q, r)
+    return (
+        (ar * xr - ai * xi) + (br * yr - bi * yi) + (cr * zr - ci * zi),
+        (ar * xi + ai * xr) + (br * yi + bi * yr) + (cr * zi + ci * zr),
+    )
 
 
-def _zmatvec(m, v):
-    ar, ai, br, bi, cr, ci = v
+def _zmatvec2(m, v):
+    ar, ai, br, bi = v
     out = []
-    for r0, i0, r1, i1, r2, i2 in m:
-        re = (r0 * ar - i0 * ai) + (r1 * br - i1 * bi) + (r2 * cr - i2 * ci)
-        im = (r0 * ai + i0 * ar) + (r1 * bi + i1 * br) + (r2 * ci + i2 * cr)
-        out.append(re)
-        out.append(im)
+    for r0, i0, r1, i1 in m:
+        out.append((r0 * ar - i0 * ai) + (r1 * br - i1 * bi))
+        out.append((r0 * ai + i0 * ar) + (r1 * bi + i1 * br))
     return tuple(out)
 
 
-def _zkey(v):
-    """Exact hashable key of the projective point of a nonzero Z[i] vector.
+def _zmatvec3(m, v):
+    ar, ai, br, bi, cr, ci = v
+    out = []
+    for r0, i0, r1, i1, r2, i2 in m:
+        out.append((r0 * ar - i0 * ai) + (r1 * br - i1 * bi) + (r2 * cr - i2 * ci))
+        out.append((r0 * ai + i0 * ar) + (r1 * bi + i1 * br) + (r2 * ci + i2 * cr))
+    return tuple(out)
+
+
+def _zkey2(v):
+    """Exact hashable key of the projective point of a nonzero Z[i] 2-vector (see _zkey3)."""
+    ar, ai, br, bi = v
+    xr, xi = (ar, ai) if ar or ai else (br, bi)
+    ar, ai = ar * xr + ai * xi, ai * xr - ar * xi
+    br, bi = br * xr + bi * xi, bi * xr - br * xi
+    g = gcd(ar, ai, br, bi)
+    return (ar // g, ai // g, br // g, bi // g)
+
+
+def _zkey3(v):
+    """Exact hashable key of the projective point of a nonzero Z[i] 3-vector.
 
     Multiplying by the conjugate of the leading nonzero entry x makes
     that entry the positive integer |x|^2; proportional vectors then
@@ -184,95 +204,138 @@ def _zkey(v):
     return (ar // g, ai // g, br // g, bi // g, cr // g, ci // g)
 
 
-def _zframe_matrix(v1, v2, v3, v4):
-    """Columns d_k * v_k, the frame matrix scaled to stay integral."""
+def _zframe_matrix2(v1, v2, v3):
+    """The line's frame matrix (see _zframe_matrix3), or None unless the points are distinct."""
+    if _zdet2(v1, v2) == (0, 0):
+        return None
+    d1r, d1i = _zdet2(v3, v2)
+    d2r, d2i = _zdet2(v1, v3)
+    if not (d1r or d1i) or not (d2r or d2i):
+        return None
+    ar, ai, br, bi = v1
+    cr, ci, dr, di = v2
+    return (
+        (d1r * ar - d1i * ai, d1r * ai + d1i * ar, d2r * cr - d2i * ci, d2r * ci + d2i * cr),
+        (d1r * br - d1i * bi, d1r * bi + d1i * br, d2r * dr - d2i * di, d2r * di + d2i * dr),
+    )
+
+
+def _zframe_matrix3(v1, v2, v3, v4):
+    """Columns d_k * v_k, the frame matrix scaled to stay integral, or None.
+
+    d_k is the determinant of v_1, v_2, v_3 with v_k replaced by v_4, so
+    by Cramer's rule the columns sum to det(v_1, v_2, v_3) * v_4.  The
+    points form a frame exactly when det(v_1, v_2, v_3) and every d_k are
+    nonzero; otherwise the result is None.
+    """
+    if _zdet3(v1, v2, v3) == (0, 0):
+        return None
     d1 = _zdet3(v4, v2, v3)
     d2 = _zdet3(v1, v4, v3)
     d3 = _zdet3(v1, v2, v4)
-    rows = []
-    for k in range(3):
-        r1, i1 = v1[2 * k], v1[2 * k + 1]
-        r2, i2 = v2[2 * k], v2[2 * k + 1]
-        r3, i3 = v3[2 * k], v3[2 * k + 1]
-        rows.append(
-            (
-                d1[0] * r1 - d1[1] * i1,
-                d1[0] * i1 + d1[1] * r1,
-                d2[0] * r2 - d2[1] * i2,
-                d2[0] * i2 + d2[1] * r2,
-                d3[0] * r3 - d3[1] * i3,
-                d3[0] * i3 + d3[1] * r3,
-            )
-        )
-    return tuple(rows)
+    if d1 == (0, 0) or d2 == (0, 0) or d3 == (0, 0):
+        return None
+    (d1r, d1i), (d2r, d2i), (d3r, d3i) = d1, d2, d3
+    return tuple(
+        (d1r * v1[j] - d1i * v1[j + 1], d1r * v1[j + 1] + d1i * v1[j],
+         d2r * v2[j] - d2i * v2[j + 1], d2r * v2[j + 1] + d2i * v2[j],
+         d3r * v3[j] - d3i * v3[j + 1], d3r * v3[j + 1] + d3i * v3[j])
+        for j in (0, 2, 4)
+    )
 
 
-def _zadjugate(m):
-    def cof(r0, r1, c0, c1):
-        ar, ai = m[r0][2 * c0], m[r0][2 * c0 + 1]
-        br, bi = m[r0][2 * c1], m[r0][2 * c1 + 1]
-        cr, ci = m[r1][2 * c0], m[r1][2 * c0 + 1]
-        dr, di = m[r1][2 * c1], m[r1][2 * c1 + 1]
-        return (
-            (ar * dr - ai * di) - (br * cr - bi * ci),
-            (ar * di + ai * dr) - (br * ci + bi * cr),
-        )
+def _zadjugate2(m):
+    (ar, ai, br, bi), (cr, ci, dr, di) = m
+    return ((dr, di, -br, -bi), (-cr, -ci, ar, ai))
 
-    c = [[cof(1, 2, 1, 2), cof(0, 2, 1, 2), cof(0, 1, 1, 2)],
-         [cof(1, 2, 0, 2), cof(0, 2, 0, 2), cof(0, 1, 0, 2)],
-         [cof(1, 2, 0, 1), cof(0, 2, 0, 1), cof(0, 1, 0, 1)]]
-    rows = []
-    for r in range(3):
-        row = []
-        for k in range(3):
-            re, im = c[r][k]
-            if (r + k) % 2:
-                re, im = -re, -im
-            row.append(re)
-            row.append(im)
-        rows.append(tuple(row))
-    return tuple(rows)
+
+def _zadjugate3(m):
+    """Rows are the cross products of the column pairs (1, 2), (2, 0), (0, 1)."""
+    (ar, ai, br, bi, cr, ci), (dr, di, er, ei, fr, fi), (gr, gi, hr, hi, ir, ii) = m
+    c0, c1, c2 = (ar, ai, dr, di, gr, gi), (br, bi, er, ei, hr, hi), (cr, ci, fr, fi, ir, ii)
+    return (_zcross(c1, c2), _zcross(c2, c0), _zcross(c0, c1))
 
 
 def _zmatmul(a, b):
+    n = len(b)
     rows = []
-    for r in range(3):
-        ar = a[r]
-        row = []
-        for c in range(3):
-            re = 0
-            im = 0
-            for k in range(3):
-                xr, xi = ar[2 * k], ar[2 * k + 1]
-                yr, yi = b[k][2 * c], b[k][2 * c + 1]
-                re += xr * yr - xi * yi
-                im += xr * yi + xi * yr
-            row.append(re)
-            row.append(im)
-        rows.append(tuple(row))
+    for row in a:
+        out = [0] * (2 * n)
+        for k in range(n):
+            xr, xi, bk = row[2 * k], row[2 * k + 1], b[k]
+            for j in range(0, 2 * n, 2):
+                out[j] += xr * bk[j] - xi * bk[j + 1]
+                out[j + 1] += xr * bk[j + 1] + xi * bk[j]
+        rows.append(tuple(out))
     return tuple(rows)
 
 
-# P_sigma for the 24 orderings sigma of the standard frame
-# (1:0:0), (0:1:0), (0:0:1), (1:1:1): Z(Q) . P_sigma is, up to a scalar,
-# the frame matrix of Q taken in the order sigma.
-_STANDARD_FRAME = (
-    (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0),
-)
-_FRAME_ORDERINGS = tuple(
-    _zframe_matrix(*perm) for perm in itertools.permutations(_STANDARD_FRAME)
-)
+# dimension -> (frame matrix, matvec, key, adjugate)
+_KERNELS = {
+    2: (_zframe_matrix2, _zmatvec2, _zkey2, _zadjugate2),
+    3: (_zframe_matrix3, _zmatvec3, _zkey3, _zadjugate3),
+}
+
+# P_sigma for the orderings sigma of the standard frame, (1:0), (0:1),
+# (1:1) on the line (6) and (1:0:0), (0:1:0), (0:0:1), (1:1:1) in the
+# plane (24): Z(Q) . P_sigma is, up to a scalar, the frame matrix of Q
+# taken in the order sigma.
+_STANDARD_FRAMES = {
+    2: ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0)),
+    3: ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0)),
+}
+_FRAME_ORDERINGS = {
+    d: tuple(_KERNELS[d][0](*perm) for perm in itertools.permutations(frame))
+    for d, frame in _STANDARD_FRAMES.items()
+}
 
 
-def _map_from_int_matrix(m, antiholo=False):
-    rows = tuple(
-        tuple(
-            GaussianRational(Fraction(row[2 * c]), Fraction(row[2 * c + 1]))
-            for c in range(3)
-        )
-        for row in m
+def _map_from_int_matrix(m):
+    return SemiProjMap(
+        [[GaussianRational(row[c], row[c + 1]) for c in range(0, len(row), 2)] for row in m]
     )
-    return SemiProjMap(rows, antiholo)
+
+
+def _keyed_equivalences(source_frame, source, target):
+    """Every holomorphic g with g(source) = target, as SemiProjMaps sorted by key.
+
+    The arguments are cleared Z[i] vectors (_zclear) of one dimension d:
+    equally many distinct source and target points, and d + 1 source
+    points forming a frame.  Orderings sharing a source key set share one
+    entry of `by_keys`; each unordered target frame is keyed once (see the
+    module docstring), and a target point whose key lies in no source key
+    set rejects the frame at once.
+    """
+    dim = len(source_frame) - 1
+    frame_matrix, matvec, key, adjugate = _KERNELS[dim]
+    frame_adj = adjugate(frame_matrix(*source_frame))
+    source_coords = [matvec(frame_adj, v) for v in source]
+    by_keys = {}
+    for p_sigma in _FRAME_ORDERINGS[dim]:
+        keys = frozenset(key(matvec(p_sigma, v)) for v in source_coords)
+        by_keys.setdefault(keys, []).append(_zmatmul(p_sigma, frame_adj))
+
+    source_keys = frozenset().union(*by_keys)
+    found = []
+    for frame in itertools.combinations(target, dim + 1):
+        z_frame = frame_matrix(*frame)
+        if z_frame is None:
+            continue
+        z_frame_adj = adjugate(z_frame)
+        frame_keys = set()
+        for t in target:
+            k = key(matvec(z_frame_adj, t))
+            if k not in source_keys:
+                break
+            frame_keys.add(k)
+        else:
+            for g in by_keys.get(frozenset(frame_keys), ()):
+                found.append(_zmatmul(z_frame, g))
+
+    maps = sorted((_map_from_int_matrix(g) for g in found), key=SemiProjMap.key)
+    if len({m.key() for m in maps}) != len(maps):
+        raise InternalError("duplicate maps in equivalence enumeration")
+    return maps
 
 
 # --- equivalences and automorphisms --------------------------------------------
@@ -283,64 +346,27 @@ def equivalences(source: PointConfig, target: PointConfig,
     """Every g in PGL3 with g(source) = target, sorted canonically.
 
     Requires a general-position 4-subset in the source (NeedsReductionError
-    otherwise).  The list is complete: any such g sends the witness frame
-    to an ordered general-position 4-tuple of the target.  Different sizes
-    yield the empty list.
-
-    Orderings are not tried one by one.  The source points are written
-    in the witness frame once; for each ordering sigma of the standard
-    frame, the keys (_zkey) of the points P_sigma . F_s form a key set,
-    and orderings with the same key set share one entry.  Each unordered
-    general-position target 4-subset Q is then keyed once, by writing
-    the target points in the frame Q, and the ordering sigma of Q gives
-    a map exactly when the two key sets are equal.  A target point whose
-    key lies in no source key set rejects Q at once.
+    otherwise); the lexicographically least one from `classify` anchors
+    the keyed enumeration.  Different sizes yield the empty list.
     """
     cls = classify(source, max_points)
     if cls.tag is not ConfigTag.HAS_FRAME:
         raise NeedsReductionError(
             f"{cls.tag.value} configuration: no frame to anchor the search"
         )
+    if len(target.points[0].coords) != 3:
+        raise InvalidInputError("equivalences needs target points of the plane")
     if len(target) > max_points:
         raise TooManyPointsError(
             f"{len(target)} points exceed the enumeration guard of {max_points}"
         )
     if len(source) != len(target):
         return []
-
-    frame_adj = _zadjugate(
-        _zframe_matrix(*(_zclear(p.coords) for p in cls.frame))
+    return _keyed_equivalences(
+        [_zclear(p.coords) for p in cls.frame],
+        [_zclear(p.coords) for p in source.points],
+        [_zclear(p.coords) for p in target.points],
     )
-    source_coords = [_zmatvec(frame_adj, _zclear(p.coords)) for p in source.points]
-    by_keys = {}
-    for p_sigma in _FRAME_ORDERINGS:
-        keys = frozenset(_zkey(_zmatvec(p_sigma, v)) for v in source_coords)
-        by_keys.setdefault(keys, []).append(_zmatmul(p_sigma, frame_adj))
-
-    source_keys = frozenset().union(*by_keys)
-    target_ints = [_zclear(p.coords) for p in target.points]
-    found = []
-    for quad in itertools.combinations(target_ints, 4):
-        a, b, c, d = quad
-        if _zdet3(a, b, c) == (0, 0) or _zdet3(a, b, d) == (0, 0) \
-                or _zdet3(a, c, d) == (0, 0) or _zdet3(b, c, d) == (0, 0):
-            continue
-        z_quad = _zframe_matrix(*quad)
-        quad_adj = _zadjugate(z_quad)
-        quad_keys = set()
-        for t in target_ints:
-            key = _zkey(_zmatvec(quad_adj, t))
-            if key not in source_keys:
-                break
-            quad_keys.add(key)
-        else:
-            for g in by_keys.get(frozenset(quad_keys), ()):
-                found.append(_zmatmul(z_quad, g))
-
-    maps = sorted((_map_from_int_matrix(g) for g in found), key=SemiProjMap.key)
-    if len({m.key() for m in maps}) != len(maps):
-        raise InternalError("duplicate maps in equivalence enumeration")
-    return maps
 
 
 def symmetry_permutations(config: PointConfig, maps):
@@ -356,14 +382,14 @@ def symmetry_permutations(config: PointConfig, maps):
     """
     points = [_zclear(p.coords) for p in config.points]
     conj_points = [(ar, -ai, br, -bi, cr, -ci) for ar, ai, br, bi, cr, ci in points]
-    index = {_zkey(v): k for k, v in enumerate(points)}
+    index = {_zkey3(v): k for k, v in enumerate(points)}
     n = len(points)
     pairs = []
     for g in maps:
         m = _zclear([x for row in g.matrix for x in row])
         m = (m[0:6], m[6:12], m[12:18])
         vectors = conj_points if g.antiholo else points
-        perm = tuple([index.get(_zkey(_zmatvec(m, v))) for v in vectors])
+        perm = tuple([index.get(_zkey3(_zmatvec3(m, v))) for v in vectors])
         if None in perm or len(set(perm)) != n:
             raise InternalError(f"{g!r} does not permute the configuration")
         pairs.append((perm, g.antiholo))
@@ -395,37 +421,14 @@ def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
 # --- the projective line --------------------------------------------------------
 
 
-def _det2(p, q):
-    return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
-
-
-def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> GaussianRational:
-    """cr(z1, z2, z3, z4) = ((z1-z3)(z2-z4)) / ((z1-z4)(z2-z3)), homogeneously."""
-    num = _det2(z1, z3) * _det2(z2, z4)
-    den = _det2(z1, z4) * _det2(z2, z3)
-    if not den:
-        raise InvalidInputError("cross-ratio undefined: repeated point")
-    return num / den
-
-
-def _triple_frame_matrix(q0, q1, q2):
-    """2x2 matrix sending (1:0), (0:1), (1:1) to the given distinct triple."""
-    d0 = _det2(q2, q1)
-    d1 = _det2(q0, q2)
-    return (
-        (d0 * q0.coords[0], d1 * q1.coords[0]),
-        (d0 * q0.coords[1], d1 * q1.coords[1]),
-    )
-
-
 def pgl2_equivalences(source: PointConfig, target: PointConfig,
                       max_points: int = MAX_POINTS):
-    """Every holomorphic map of the line with g(source) = target, sorted.
+    """Every holomorphic map of the line with g(source) = target, sorted canonically.
 
-    Any ordered triple of distinct points is a frame on the line, so the
-    first three source points are fixed and all ordered target triples
-    are tried.  Fewer than three points leaves infinitely many maps
-    (TooSmallError).
+    Any three distinct points are a frame on the line, so the first three
+    source points anchor the same keyed enumeration as `equivalences`,
+    over the target triples.  Fewer than three points leaves infinitely
+    many maps (TooSmallError).  Different sizes yield the empty list.
     """
     if len(source.points[0].coords) != 2 or len(target.points[0].coords) != 2:
         raise InvalidInputError("pgl2_equivalences needs points of the line")
@@ -439,20 +442,10 @@ def pgl2_equivalences(source: PointConfig, target: PointConfig,
         )
     if len(source) != len(target):
         return []
-    base = source.points[:3]
-    base_inv = adjugate(_triple_frame_matrix(*base))
-    source_rest = [p for p in source.points if p not in set(base)]
-    target_set = set(target.points)
-
-    found = []
-    for triple in itertools.permutations(target.points, 3):
-        g = SemiProjMap(matmul(_triple_frame_matrix(*triple), base_inv))
-        if all(g.apply(p) in target_set for p in source_rest):
-            found.append(g)
-    found.sort(key=SemiProjMap.key)
-    if len({g.key() for g in found}) != len(found):
-        raise InternalError("duplicate maps in line enumeration")
-    return found
+    source_ints = [_zclear(p.coords) for p in source.points]
+    return _keyed_equivalences(
+        source_ints[:3], source_ints, [_zclear(p.coords) for p in target.points]
+    )
 
 
 # --- reduction to the line -------------------------------------------------------

@@ -56,7 +56,7 @@ def adjugate(m):
 def matmul(a, b):
     n = len(a)
     return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(n)), GaussianRational(0)) for c in range(n))
+        tuple(sum((a[r][k] * b[k][c] for k in range(1, n)), a[r][0] * b[0][c]) for c in range(n))
         for r in range(n)
     )
 
@@ -97,6 +97,13 @@ def rref(rows):
 
 
 # --- points, lines, conics ----------------------------------------------------
+
+
+def _plane_coords(p):
+    """The coordinates of a point of the plane; InvalidInputError on the line."""
+    if len(p.coords) != 3:
+        raise InvalidInputError("this operation needs points of the plane")
+    return p.coords
 
 
 def _canonical(coords):
@@ -157,7 +164,7 @@ class Line:
 
     def contains(self, p: ProjPoint) -> bool:
         d0, d1, d2 = self.dual
-        x, y, z = p.coords
+        x, y, z = _plane_coords(p)
         return not (d0 * x + d1 * y + d2 * z)
 
     def conj(self) -> "Line":
@@ -183,14 +190,14 @@ class Line:
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     """True iff the 3x3 coordinate determinant vanishes exactly."""
-    return not det3((p.coords, q.coords, r.coords))
+    return not det3((_plane_coords(p), _plane_coords(q), _plane_coords(r)))
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> Line:
+    a, b, c = _plane_coords(p)
+    d, e, f = _plane_coords(q)
     if p == q:
         raise DegenerateInputError("two distinct points are needed to span a line")
-    a, b, c = p.coords
-    d, e, f = q.coords
     return Line(b * f - c * e, c * d - a * f, a * e - b * d)
 
 
@@ -209,7 +216,7 @@ class Conic:
 
     def evaluate(self, p: ProjPoint) -> GaussianRational:
         xx, yy, zz, xy, xz, yz = self.coeffs
-        x, y, z = p.coords
+        x, y, z = _plane_coords(p)
         return (
             xx * x * x + yy * y * y + zz * z * z
             + xy * x * y + xz * x * z + yz * y * z
@@ -445,7 +452,7 @@ def conic_through_5(config: PointConfig) -> Conic:
         raise InvalidInputError("exactly five points are required")
     rows = []
     for p in config:
-        x, y, z = p.coords
+        x, y, z = _plane_coords(p)
         rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
     reduced, pivots = rref(rows)
     if len(pivots) != 5:

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import planar_descent.descent as descent_module
+from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.descent import (
@@ -13,7 +16,7 @@ from planar_descent.descent import (
     normalizer,
     real_model_check,
 )
-from planar_descent.equivalence import NeedsReductionError, aut_group, equivalences
+from planar_descent.equivalence import NeedsReductionError, aut_group, classify, equivalences
 from planar_descent.plane import (
     PointConfig,
     ProjPoint,
@@ -458,3 +461,55 @@ def test_line_refutation_on_anisotropic_six_points():
         assert element.antiholo
         assert not square.is_identity()
         assert element.apply(config) == config
+
+
+# --- pinned line-route certificates ---------------------------------------------
+
+_LINE_TWIST = SemiProjMap(((1, "1+1i", 0), (2, -1, "0+1i"), (0, 3, 1)))
+_COSET4 = [pt("1+1i", 1, 0), pt("3/2+3/2i", 1, 0), pt(3, 1, 0), pt(1, 1, 0)]
+_ANISO6 = [
+    pt("1+1i", 1, 0), pt("-1/2-1/2i", 1, 0), pt(2, 1, 0), pt("-1/2", 1, 0),
+    pt("0+3i", 1, 0), pt("0-1/3i", 1, 0),
+]
+_NONREAL4 = [pt(0, 1, 0), pt(1, 1, 0), pt(1, 0, 0), pt("2+3i", 1, 0)]
+_HARMONIC = [pt(0, 1, 0), pt(1, 0, 0), pt(1, 1, 0), pt(-1, 1, 0)]
+
+# name -> (points, tag, fom_real, descends, sha256 of the sorted-keys JSON
+# dump of the certificate); a change that alters a digest on purpose must
+# say so and why
+LINE_ROUTE_PINS = {
+    "collinear_descends": (
+        _COSET4, "Collinear", True, True,
+        "80d2ba62877db3e2705b75be7eb6f114b87ba495504e9ae98e90a9500b13406e"),
+    "collinear_refuted": (
+        _ANISO6, "Collinear", True, False,
+        "ca4e5767f1f7d880d294a3d25e1f98af3fcae444e5299eef723fc26c2e2958d7"),
+    "collinear_not_fom": (
+        _NONREAL4, "Collinear", False, False,
+        "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
+    "line_plus_point_descends": (
+        _COSET4 + [pt(0, 0, 1)], "LinePlusPoint", True, True,
+        "186b1da34213a8cb0518ba23b0a42b075828169a0c7bd39cd656dd6fcd1b5568"),
+    "line_plus_point_refuted": (
+        _ANISO6 + [pt(0, 0, 1)], "LinePlusPoint", True, False,
+        "19bb4fb8e0d7c1b04d351d1d216363f16db5bb0ed5b2d7d5bb3bdc24203f5e65"),
+    "line_plus_point_not_fom": (
+        _NONREAL4 + [pt(0, 0, 1)], "LinePlusPoint", False, False,
+        "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
+    "harmonic_plus_point_descends": (
+        _HARMONIC + [pt(1, 2, 1)], "LinePlusPoint", True, True,
+        "41c39b0129e8cfd0331f94c74b4128907bf60c1e31cb214d42f0ea7960e14aa1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_ROUTE_PINS))
+def test_line_route_certificates_are_pinned(name):
+    points, tag, fom, descends, digest = LINE_ROUTE_PINS[name]
+    config = _LINE_TWIST.apply(PointConfig(points))
+    assert classify(config).tag.value == tag
+    cert = descends_real(config)
+    assert (cert.route, cert.fom_real, cert.descends) == ("line", fom, descends)
+    if descends:
+        assert real_model_check(config, cert) == (True, None)
+    text = json.dumps(certificate_to_json(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -15,7 +15,6 @@ from planar_descent.equivalence import (
     WrongClassError,
     aut_group,
     classify,
-    cross_ratio,
     equivalences,
     pgl2_equivalences,
     reduce_to_line,
@@ -318,7 +317,7 @@ def test_equivalences_match_brute_force():
 
 
 def test_projective_key_is_scale_invariant_and_separates_points():
-    from planar_descent.equivalence import _zclear, _zkey
+    from planar_descent.equivalence import _zclear, _zkey3
 
     rng = random.Random(25)
     for _ in range(200):
@@ -332,10 +331,10 @@ def test_projective_key_is_scale_invariant_and_separates_points():
         for k in range(3):
             ar, ai = v[2 * k], v[2 * k + 1]
             scaled.extend((lr * ar - li * ai, lr * ai + li * ar))
-        assert _zkey(tuple(scaled)) == _zkey(v)
+        assert _zkey3(tuple(scaled)) == _zkey3(v)
     for size in (5, 8, 12):
         config = _random_config(rng, size)
-        assert len({_zkey(_zclear(p.coords)) for p in config}) == size
+        assert len({_zkey3(_zclear(p.coords)) for p in config}) == size
 
 
 def test_equivalences_form_left_coset():
@@ -506,25 +505,49 @@ def test_pgl2_too_small():
     plane = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 1)])
     with pytest.raises(InvalidInputError):
         pgl2_equivalences(plane, plane)
+    line = PointConfig([_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(2, 1)])
+    with pytest.raises(InvalidInputError):
+        equivalences(STANDARD_FRAME, line)
+
+
+def _det2(p, q):
+    return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
+
+
+def _triple_matrix(q0, q1, q2):
+    """2x2 matrix sending (1:0), (0:1), (1:1) to the given distinct triple."""
+    d0 = _det2(q2, q1)
+    d1 = _det2(q0, q2)
+    return (
+        (d0 * q0.coords[0], d1 * q1.coords[0]),
+        (d0 * q0.coords[1], d1 * q1.coords[1]),
+    )
 
 
 def _brute_pgl2(source, target):
-    found = {}
-    for triple in itertools.permutations(source.points, 3):
-        for image in itertools.permutations(target.points, 3):
-            from planar_descent.equivalence import _triple_frame_matrix
+    """Sorted keys of every map sending a source triple to an ordered target triple.
 
-            mb = _triple_frame_matrix(*triple)
-            inv = ((mb[1][1], -mb[0][1]), (-mb[1][0], mb[0][0]))
-            mt = _triple_frame_matrix(*image)
+    Two anchor triples of the source are tried; both must give the same maps.
+    """
+    target_set = set(target.points)
+    results = None
+    for anchor in (source.points[:3], source.points[-3:][::-1]):
+        mb = _triple_matrix(*anchor)
+        inv = ((mb[1][1], -mb[0][1]), (-mb[1][0], mb[0][0]))
+        found = set()
+        for image in itertools.permutations(target.points, 3):
+            mt = _triple_matrix(*image)
             prod = tuple(
                 tuple(mt[r][0] * inv[0][c] + mt[r][1] * inv[1][c] for c in range(2))
                 for r in range(2)
             )
             g = SemiProjMap(prod)
-            if g.apply(source) == target:
-                found[g.key()] = g
-    return sorted(found)
+            if all(g.apply(p) in target_set for p in source.points):
+                found.add(g.key())
+        keys = sorted(found)
+        assert results is None or keys == results, "anchor choice changed the answer"
+        results = keys
+    return results
 
 
 def test_pgl2_four_points_match_brute_force():
@@ -533,6 +556,75 @@ def test_pgl2_four_points_match_brute_force():
         maps = pgl2_equivalences(config, config)
         assert 24 % len(maps) == 0
         assert [m.key() for m in maps] == _brute_pgl2(config, config)
+
+
+def _random_line_config(rng, size):
+    points = set()
+    while len(points) < size:
+        if rng.random() < 0.15:
+            points.add(_p1(1, 0))
+        else:
+            points.add(ProjPoint(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)), gq(1)))
+    return PointConfig(points)
+
+
+def _random_line_twist(rng):
+    while True:
+        rows = tuple(
+            tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2))
+            for _ in range(2)
+        )
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            return SemiProjMap(rows)
+
+
+def _stable_line_config(rng, size):
+    """A twist of a conjugation-stable set of the line: conj(L) -> L maps exist."""
+    while True:
+        points = set()
+        while len(points) < size:
+            z = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+            points.update((ProjPoint(z, gq(1)), ProjPoint(z.conj(), gq(1))))
+        if len(points) == size:
+            return _random_line_twist(rng).apply(PointConfig(points))
+
+
+def test_pgl2_matches_brute_force_between_sets():
+    rng = random.Random(26)
+    pairs = []
+    for size in (4, 5, 6, 7):
+        line = _random_line_config(rng, size)
+        stable = _stable_line_config(rng, size)
+        pairs.append((line.conj(), line))
+        pairs.append((stable.conj(), stable))
+        pairs.append((line, _random_line_twist(rng).apply(line)))
+    for source, target in pairs:
+        maps = pgl2_equivalences(source, target)
+        assert [m.key() for m in maps] == _brute_pgl2(source, target)
+        for g in maps:
+            assert g.apply(source) == target
+
+    harmonic = PointConfig([_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(-1, 1)])
+    octahedral = PointConfig(
+        [_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(-1, 1), _p1("0+1i", 1), _p1("0-1i", 1)]
+    )
+    twisted = _random_line_twist(rng).apply(octahedral)
+    symmetric = [
+        (harmonic, harmonic, 8),
+        (harmonic, _random_line_twist(rng).apply(harmonic), 8),
+        (octahedral, octahedral, 24),
+        (octahedral.conj(), octahedral, 24),
+        (twisted.conj(), twisted, 24),
+    ]
+    for source, target, count in symmetric:
+        maps = pgl2_equivalences(source, target)
+        assert len(maps) == count
+        assert [m.key() for m in maps] == _brute_pgl2(source, target)
+
+
+def _cross_ratio(z1, z2, z3, z4):
+    """cr(z1, z2, z3, z4) = ((z1-z3)(z2-z4)) / ((z1-z4)(z2-z3)), homogeneously."""
+    return (_det2(z1, z3) * _det2(z2, z4)) / (_det2(z1, z4) * _det2(z2, z3))
 
 
 def test_pgl2_preserves_cross_ratio():
@@ -552,20 +644,11 @@ def test_pgl2_preserves_cross_ratio():
             continue
         maps = pgl2_equivalences(config, config)
         z = config.points
-        reference = cross_ratio(*z)
+        reference = _cross_ratio(*z)
         for g in maps:
             images = [g.apply(p) for p in z]
-            value = cross_ratio(*images)
+            value = _cross_ratio(*images)
             orbit = {reference, 1 / reference, 1 - reference,
                      1 / (1 - reference), (reference - 1) / reference,
                      reference / (reference - 1)}
             assert value in orbit
-
-
-def test_cross_ratio_convention():
-    # cr(z1,z2,z3,z4) = ((z1-z3)(z2-z4)) / ((z1-z4)(z2-z3)) on affine values
-    z = [_p1(5, 1), _p1(2, 1), _p1(3, 1), _p1(7, 1)]
-    expected = gq(Fraction((5 - 3) * (2 - 7), (5 - 7) * (2 - 3)))
-    assert cross_ratio(*z) == expected
-    # the point at infinity enters homogeneously: cr(inf, 0, 1, 2) = (0-2)/(0-1)
-    assert cross_ratio(_p1(1, 0), _p1(0, 1), _p1(1, 1), _p1(2, 1)) == gq(2)

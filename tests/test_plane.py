@@ -95,6 +95,20 @@ def test_dimension_mismatches_rejected():
         plane_map * line_map
     with pytest.raises(InvalidInputError):
         PointConfig([ProjPoint(1, 2), pt(1, 2, 3)])
+    # plane helpers on points of the line
+    a, b, c, d, e = (ProjPoint(s, 1) for s in range(5))
+    with pytest.raises(InvalidInputError):
+        collinear(a, b, c)
+    with pytest.raises(InvalidInputError):
+        line_through(a, b)
+    with pytest.raises(InvalidInputError):
+        Line(0, 0, 1).contains(a)
+    with pytest.raises(InvalidInputError):
+        Conic(1, 1, -1, 0, 0, 0).evaluate(a)
+    with pytest.raises(InvalidInputError):
+        conic_through_5(PointConfig([a, b, c, d, e]))
+    with pytest.raises(InvalidInputError):
+        frame_map([a, b, c, d])
 
 
 # --- incidence ------------------------------------------------------------------
