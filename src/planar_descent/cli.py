@@ -44,7 +44,7 @@ SEED_ENV_VAR = "PLANAR_DESCENT_SEED"
 
 
 def point_to_string(p: ProjPoint) -> str:
-    return "(" + ":".join(format_gq(c) for c in p.coords) + ")"
+    return str(p)
 
 
 def point_from_string(text: str) -> ProjPoint:
@@ -83,13 +83,13 @@ def map_from_json(data) -> SemiProjMap:
     entries = data["matrix"]
     if not isinstance(entries, list) or len(entries) != 9:
         raise InvalidInputError("map matrix must hold nine entries, row-major")
+    if not all(isinstance(entry, str) for entry in entries):
+        raise InvalidInputError("map matrix entries must be strings")
+    antiholo = data.get("antiholo", False)
+    if not isinstance(antiholo, bool):
+        raise InvalidInputError('"antiholo" must be true or false')
     values = [parse_gq(entry) for entry in entries]
-    rows = (tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))
-    return SemiProjMap(rows, bool(data.get("antiholo", False)))
-
-
-def line_to_string(line) -> str:
-    return "[" + ":".join(format_gq(c) for c in line.dual) + "]"
+    return SemiProjMap((values[0:3], values[3:6], values[6:9]), antiholo)
 
 
 def certificate_to_json(cert: DescentCertificate) -> dict:
@@ -116,9 +116,14 @@ def certificate_from_json(data) -> DescentCertificate:
     def opt_map(key):
         return map_from_json(data[key]) if data.get(key) else None
 
+    entries = data.get("refutation", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and "element" in entry and "square" in entry
+        for entry in entries
+    ):
+        raise InvalidInputError('"refutation" must be an array of {"element", "square"} objects')
     refutation = tuple(
-        (map_from_json(entry["element"]), map_from_json(entry["square"]))
-        for entry in data.get("refutation", ())
+        (map_from_json(entry["element"]), map_from_json(entry["square"])) for entry in entries
     )
     return DescentCertificate(
         fom_real=bool(data.get("fom_real")),
@@ -138,7 +143,7 @@ def classification_to_json(cls) -> dict:
     if cls.frame is not None:
         out["frame"] = [point_to_string(p) for p in cls.frame]
     if cls.line is not None:
-        out["line"] = line_to_string(cls.line)
+        out["line"] = str(cls.line)
     if cls.residue is not None:
         out["residue"] = point_to_string(cls.residue)
     return out

@@ -28,25 +28,31 @@ from math import lcm
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
-from .gaussian import GaussianRational, NotANormError, gq, two_squares
+from .gaussian import GaussianRational, NotANormError, two_squares
 from .equivalence import (
     MAX_POINTS,
     ConfigTag,
     LineReduction,
+    _frame_equivalences,
+    _reduce,
+    _witness_frame,
     classify,
-    equivalences,
     pgl2_equivalences,
-    reduce_to_line,
     symmetry_permutations,
 )
 from .plane import (
+    ZIDENTITY,
     PointConfig,
     SemiProjMap,
-    adjugate,
-    collinear,
-    conj_matrix,
-    det3,
-    matmul,
+    zadjugate3,
+    zcolumns,
+    zconj,
+    zdet2,
+    zdet3,
+    zlead,
+    zmatmul,
+    zmatvec,
+    zscale,
 )
 
 
@@ -127,14 +133,18 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
 
     The holomorphic part is the automorphism group; the antiholomorphic
     part collects (A, anti) for every A carrying conj(S) onto S, and is
-    empty or a coset of the holomorphic part.  Closure, inverses and
-    element orders are checked on the point permutations
-    (`symmetry_permutations`); that is exact because S has a frame, so
-    a symmetry is determined by its permutation and its flag.
+    empty or a coset of the holomorphic part.  Both enumerations are
+    anchored on the witness frame of S (conjugated for conj(S)), so S is
+    classified once.  Closure, inverses and element orders are checked
+    on the point permutations (`symmetry_permutations`); that is exact
+    because S has a frame, so a symmetry is determined by its
+    permutation and its flag.
     """
-    holos = equivalences(config, config, max_points)
-    anti_matrices = equivalences(config.conj(), config, max_points)
-    antis = [SemiProjMap(m.matrix, antiholo=True) for m in anti_matrices]
+    frame = _witness_frame(config, max_points)
+    holos = _frame_equivalences(frame, config, config, max_points)
+    conj_frame = [p.conj() for p in frame]
+    anti_matrices = _frame_equivalences(conj_frame, config.conj(), config, max_points)
+    antis = [SemiProjMap.from_z(m.z, antiholo=True) for m in anti_matrices]
     if antis and len(antis) != len(holos):
         raise InternalError("antiholomorphic part is not a coset")
     elements = sorted(holos + antis, key=SemiProjMap.key)
@@ -154,72 +164,50 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
 # --- constructive Hilbert 90 ----------------------------------------------------
 
 
-def _is_scalar3(m):
-    for r in range(3):
-        for c in range(3):
-            if r != c and m[r][c]:
-                return False
-    return m[0][0] == m[1][1] == m[2][2]
-
-
-def _scale_matrix(m, factor):
-    return tuple(tuple(x * factor for x in row) for row in m)
-
-
-def _random_trial_matrix(rng):
-    return tuple(
-        tuple(
-            GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-            for _ in range(3)
-        )
-        for _ in range(3)
-    )
-
-
-def hilbert90_split(matrix, seed: int = 0):
+def hilbert90_split(matrix, seed: int = 0) -> SemiProjMap:
     """B with matrix = B . conj(B)^-1 up to scalar, verified exactly.
 
-    Requires matrix . conj(matrix) = mu * I for a scalar mu; mu is then
-    automatically positive (mu^3 is the norm of the determinant), and
-    t = mu / det has norm mu^2 / mu^3 = 1/mu, so t * matrix is an exact
-    cocycle A with A conj(A) = I.  B = A conj(C) + C works for any
-    trial C that leaves B invertible, since then
-    A conj(B) = A conj(A) C + A conj(C) = B.
+    `matrix` is a 3x3 SemiProjMap or rows of Q(i) values; only its
+    normal form A is used.  Requires A . conj(A) = mu * I for a scalar
+    mu; mu is then automatically positive (mu^3 is the norm of the
+    determinant), and t = mu / det has norm mu^2 / mu^3 = 1/mu, so
+    t * A is an exact cocycle with t A conj(t A) = I.  B = t A conj(C) + C
+    works for any trial C that leaves B invertible, since then
+    t A conj(B) = t A conj(t A) C + t A conj(C) = B.  With
+    t = conj(det) / mu^2 everything is computed times mu^2, in Z[i].
     """
-    if isinstance(matrix, SemiProjMap):
-        matrix = matrix.matrix
-    rows = tuple(tuple(gq(x) for x in row) for row in matrix)
-    determinant = det3(rows)
-    if not determinant:
-        raise InvalidInputError("cocycle matrix must be invertible")
-    product = matmul(rows, conj_matrix(rows))
-    if not _is_scalar3(product):
+    if not isinstance(matrix, SemiProjMap):
+        matrix = SemiProjMap(matrix)
+    a = matrix.z
+    if len(a) != 3:
+        raise InvalidInputError("Hilbert 90 splitting needs a 3x3 matrix")
+    product = zmatmul(a, zconj(a))
+    mu, mu_im = product[0][:2]
+    if product != zscale((mu, mu_im), ZIDENTITY[3]):
         raise NotACocycleError("A . conj(A) is not scalar")
-    mu = product[0][0]
-    if mu.im != 0 or mu.re <= 0:
+    if mu_im != 0 or mu <= 0:
         raise InternalError("scalar of a real cocycle must be a positive rational")
-    t = mu / determinant
-    if t.norm() * mu.re != 1:
+    det_r, det_i = zdet3(*a)
+    if det_r * det_r + det_i * det_i != mu ** 3:
         raise InternalError("rescaling by mu/det failed to normalize the cocycle")
-    cocycle = _scale_matrix(rows, t)
+    cocycle = zscale((det_r, -det_i), a)
+    scale = mu * mu
 
     rng = random.Random(seed)
-    identity = tuple(
-        tuple(GaussianRational(1 if r == c else 0) for c in range(3))
-        for r in range(3)
-    )
     for attempt in range(100):
-        trial = identity if attempt == 0 else _random_trial_matrix(rng)
-        candidate = matmul(cocycle, conj_matrix(trial))
-        b = tuple(
-            tuple(candidate[r][c] + trial[r][c] for c in range(3)) for r in range(3)
+        trial = ZIDENTITY[3] if attempt == 0 else tuple(
+            tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(3)
         )
-        if not det3(b):
+        candidate = zmatmul(cocycle, zconj(trial))
+        b = tuple(
+            tuple([x + scale * y for x, y in zip(row, trial_row)])
+            for row, trial_row in zip(candidate, trial)
+        )
+        if zdet3(*b) == (0, 0):
             continue
-        if matmul(cocycle, conj_matrix(b)) != b:
+        if zmatmul(cocycle, zconj(b)) != zscale((scale, 0), b):
             raise InternalError("splitting identity failed on an invertible trial")
-        lead = next(x for row in b for x in row if x)
-        return _scale_matrix(b, lead.inverse())
+        return SemiProjMap.from_z(b)
     raise SplitRetryError("no invertible splitting found in 100 trials")
 
 
@@ -227,8 +215,7 @@ def hilbert90_split(matrix, seed: int = 0):
 
 
 def _certificate_from_involution(config, tau, seed, route, witness):
-    b_rows = hilbert90_split(tau.matrix, seed)
-    splitter = SemiProjMap(b_rows)
+    splitter = hilbert90_split(tau, seed)
     model = splitter.inverse().apply(config)
     if model.conj() != model:
         raise InternalError("split model is not conjugation-stable")
@@ -247,100 +234,103 @@ def _certificate_from_involution(config, tau, seed, route, witness):
 def _conjugate_equivalences(config, max_points):
     """The route deciding S, with its holomorphic maps carrying conj(S) onto S.
 
-    Returns (route, maps, reduction).  On the "frame" route the maps are
-    the 3x3 equivalences of conj(S) with S; on the "line" route they are
-    the 2x2 maps of the reduced line configuration `reduction.config`.
-    The "tiny" route enumerates nothing (maps is None): it always descends.
+    Returns (route, maps, reduction).  S is classified once: on the
+    "frame" route the maps are the 3x3 equivalences of conj(S) with S,
+    anchored on the conjugate of S's witness frame; on the "line" route
+    they are the 2x2 maps of the reduced line configuration
+    `reduction.config`.  The "tiny" route enumerates nothing (maps is
+    None): it always descends.
     """
-    tag = classify(config, max_points).tag
-    if tag is ConfigTag.HAS_FRAME:
-        return "frame", equivalences(config.conj(), config, max_points), None
-    if tag is ConfigTag.TINY:
+    cls = classify(config, max_points)
+    if cls.tag is ConfigTag.HAS_FRAME:
+        frame = [p.conj() for p in cls.frame]
+        return "frame", _frame_equivalences(frame, config.conj(), config, max_points), None
+    if cls.tag is ConfigTag.TINY:
         return "tiny", None, None
-    reduction = reduce_to_line(config, max_points)
+    reduction = _reduce(config, cls)
     line_config = reduction.config
     return "line", pgl2_equivalences(line_config.conj(), line_config, max_points), reduction
 
 
+def _no_descent(route, witness=None, refutation=()):
+    """A negative certificate; fom_real holds exactly when there is a witness."""
+    return DescentCertificate(
+        fom_real=witness is not None, fom_witness=witness, descends=False, real_model=None,
+        splitter=None, cocycle=None, refutation=refutation, route=route,
+    )
+
+
 def _descend_frame(config, anti_matrices, seed):
-    antis = [SemiProjMap(m.matrix, antiholo=True) for m in anti_matrices]
+    antis = [SemiProjMap.from_z(m.z, antiholo=True) for m in anti_matrices]
     if not antis:
-        return DescentCertificate(
-            fom_real=False, fom_witness=None, descends=False, real_model=None,
-            splitter=None, cocycle=None, refutation=(), route="frame",
-        )
+        return _no_descent("frame")
     witness = antis[0]
     for tau in antis:
         if (tau * tau).is_identity():
             return _certificate_from_involution(config, tau, seed, "frame", witness)
-    refutation = tuple((tau, tau * tau) for tau in antis)
-    return DescentCertificate(
-        fom_real=True, fom_witness=witness, descends=False, real_model=None,
-        splitter=None, cocycle=None, refutation=refutation, route="frame",
-    )
+    return _no_descent("frame", witness, tuple((tau, tau * tau) for tau in antis))
 
 
-def _unit_vector(k):
-    return tuple(GaussianRational(1 if j == k else 0) for j in range(3))
-
-
-def _columns_to_matrix(cols):
-    return tuple(tuple(col[r] for col in cols) for r in range(3))
-
-
-def _complete_to_basis(cols):
+def _complete_to_basis(cols, unit):
+    """The first completion of cols by unit vectors (times unit) to a basis, as columns."""
     needed = 3 - len(cols)
     for extra in itertools.combinations(range(3), needed):
-        candidate = list(cols) + [_unit_vector(k) for k in extra]
-        matrix = _columns_to_matrix(candidate)
-        if det3(matrix):
+        matrix = zcolumns(list(cols) + [zscale(unit, ZIDENTITY[3][k]) for k in extra])
+        if zdet3(*matrix) != (0, 0):
             return matrix
     raise InternalError("could not complete independent vectors to a basis")
 
 
 def _standardize_tiny(config: PointConfig) -> SemiProjMap:
-    """A holomorphic map carrying at most three points to real positions."""
+    """A holomorphic map carrying at most three points to real positions.
+
+    The matrix columns are the points with leading coordinate 1 (the
+    splitter depends on each column's scale), all multiplied by the lcm
+    m of the leading entries to stay integral.
+    """
     pts = config.points
-    vs = [p.coords for p in pts]
-    if len(pts) == 3:
-        if not collinear(*pts):
-            matrix = _columns_to_matrix(vs)
-        else:
-            # v3 = a v1 + b v2 with a, b nonzero; targets (1:0:0), (0:1:0), (1:1:0)
-            v1, v2, v3 = vs
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                d = v1[i] * v2[j] - v1[j] * v2[i]
-                if d:
-                    a = (v3[i] * v2[j] - v3[j] * v2[i]) / d
-                    b = (v1[i] * v3[j] - v1[j] * v3[i]) / d
-                    break
-            else:
-                raise InternalError("two distinct points gave dependent vectors")
-            if not a or not b:
-                raise InternalError("distinct collinear points gave zero weight")
-            for k in range(3):
-                if v3[k] != a * v1[k] + b * v2[k]:
-                    raise InternalError("collinear solve failed to extend")
-            matrix = _complete_to_basis(
-                [tuple(a * x for x in v1), tuple(b * x for x in v2)]
-            )
+    leads = [zlead(p.z) for p in pts]
+    m = lcm(*leads)
+    vs = [tuple([x * (m // lead) for x in p.z]) for p, lead in zip(pts, leads)]
+    if len(pts) < 3:
+        matrix = _complete_to_basis(vs, (m, 0))
+    elif zdet3(*vs) != (0, 0):
+        matrix = zcolumns(vs)
     else:
-        matrix = _complete_to_basis(vs)
-    g = SemiProjMap(matrix).inverse()
+        # v3 = a v1 + b v2 with a, b nonzero; targets (1:0:0), (0:1:0), (1:1:0).
+        # With d a nonzero 2x2 minor of v1, v2, Cramer's rule gives da = d a
+        # and db = d b in Z[i]; the columns are da v1, db v2 and d m e_k.
+        v1, v2, v3 = vs
+        for i, j in ((0, 2), (0, 4), (2, 4)):
+            p1, p2, p3 = (v[i:i + 2] + v[j:j + 2] for v in vs)
+            d = zdet2(p1, p2)
+            if d != (0, 0):
+                break
+        else:
+            raise InternalError("two distinct points gave dependent vectors")
+        da, db = zdet2(p3, p2), zdet2(p1, p3)
+        if da == (0, 0) or db == (0, 0):
+            raise InternalError("distinct collinear points gave zero weight")
+        if zmatvec(zcolumns((v1, v2)), da + db) != zscale(d, v3):
+            raise InternalError("collinear solve failed to extend")
+        matrix = _complete_to_basis([zscale(da, v1), zscale(db, v2)], zscale(d, (m, 0)))
+    g = SemiProjMap.from_z(matrix).inverse()
     model = g.apply(config)
     if model.conj() != model:
         raise InternalError("standard tiny model is not conjugation-stable")
     return g
 
 
+def _cocycle(splitter):
+    """The antiholomorphic map B . conj(B)^-1 of a splitter B."""
+    return SemiProjMap.from_z(zmatmul(splitter.z, zconj(splitter.inverse().z)), antiholo=True)
+
+
 def _descend_tiny(config):
     g = _standardize_tiny(config)
     model = g.apply(config)
     splitter = g.inverse()
-    cocycle = SemiProjMap(
-        matmul(splitter.matrix, adjugate(conj_matrix(splitter.matrix))),
-        antiholo=True,
-    )
+    cocycle = _cocycle(splitter)
     if cocycle.apply(config) != config or not (cocycle * cocycle).is_identity():
         raise InternalError("tiny cocycle is not an involution of the input")
     return DescentCertificate(
@@ -349,51 +339,54 @@ def _descend_tiny(config):
     )
 
 
-def _lift_line_map(reduction: LineReduction, matrix2) -> SemiProjMap:
-    """Planar antiholomorphic map induced by a raw 2x2 line-level matrix."""
+def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
+    """The planar antiholomorphic map induced by the line-level map t N.
+
+    N is the 2x2 map n with leading entry 1, that is n.z / L for its
+    normal form's leading entry L.  The lift is the chart conjugate of
+    diag(t N, 1); with t = T / q for T in Z[i] and q a positive integer,
+    that block is diag(T n.z, q L) divided by the positive integer q L.
+    """
+    q = lcm(t.re.denominator, t.im.denominator)
+    tq = (t.re.numerator * (q // t.re.denominator), t.im.numerator * (q // t.im.denominator))
+    (ar, ai, br, bi), (cr, ci, dr, di) = zscale(tq, n.z)
+    corner = q * zlead(n.z[0] + n.z[1])
+    block = ((ar, ai, br, bi, 0, 0), (cr, ci, dr, di, 0, 0), (0, 0, 0, 0, corner, 0))
     h = reduction.chart_matrix()
-    zero, one = GaussianRational(0), GaussianRational(1)
-    block = (
-        (matrix2[0][0], matrix2[0][1], zero),
-        (matrix2[1][0], matrix2[1][1], zero),
-        (zero, zero, one),
-    )
-    m = matmul(matmul(h, block), adjugate(conj_matrix(h)))
-    return SemiProjMap(m, antiholo=True)
+    return SemiProjMap.from_z(zmatmul(zmatmul(h, block), zadjugate3(zconj(h))), antiholo=True)
 
 
 def _descend_line(config, reduction, candidates, seed):
     if not candidates:
-        return DescentCertificate(
-            fom_real=False, fom_witness=None, descends=False, real_model=None,
-            splitter=None, cocycle=None, refutation=(), route="line",
-        )
-    witness = _lift_line_map(reduction, candidates[0].matrix)
+        return _no_descent("line")
+    witness = _lift(reduction, candidates[0])
 
     chosen = None
     positive_non_norm = False
     for n in candidates:
-        # the square of the antiholomorphic map x -> N conj(x), unscaled
-        square = matmul(n.matrix, conj_matrix(n.matrix))
-        if square[0][1] or square[1][0] or square[0][0] != square[1][1]:
+        # the square of the antiholomorphic map x -> N conj(x), unscaled;
+        # mu and t are taken for N with leading entry 1, that is n.z / lead
+        square = zmatmul(n.z, zconj(n.z))
+        mu, mu_im = square[0][:2]
+        if square != zscale((mu, mu_im), ZIDENTITY[2]):
             continue
-        mu = square[0][0]
-        if mu.im != 0:
+        if mu_im != 0:
             raise InternalError("scalar square of a line cocycle must be real")
-        if mu.re <= 0:
+        if mu <= 0:
             continue
+        lead = zlead(n.z[0] + n.z[1])
         try:
-            t = two_squares(Fraction(1) / mu.re)
+            t = two_squares(Fraction(lead * lead, mu))
         except NotANormError:
             positive_non_norm = True
             continue
-        chosen = _scale_matrix(n.matrix, t)
+        chosen = n, t
         break
 
     if chosen is not None:
-        # chosen . conj(chosen) = I on the line; its lift squares to a
-        # norm scalar, which the splitting rescales away.
-        tau = _lift_line_map(reduction, chosen)
+        # t N . conj(t N) = I on the line; its lift squares to a norm
+        # scalar, which the splitting rescales away.
+        tau = _lift(reduction, *chosen)
         if tau.apply(config) != config or not (tau * tau).is_identity():
             raise InternalError("lifted line involution does not stabilize the input")
         return _certificate_from_involution(config, tau, seed, "line", witness)
@@ -404,12 +397,9 @@ def _descend_line(config, reduction, candidates, seed):
         )
     refutation = []
     for n in candidates:
-        lifted = _lift_line_map(reduction, n.matrix)
+        lifted = _lift(reduction, n)
         refutation.append((lifted, lifted * lifted))
-    return DescentCertificate(
-        fom_real=True, fom_witness=witness, descends=False, real_model=None,
-        splitter=None, cocycle=None, refutation=tuple(refutation), route="line",
-    )
+    return _no_descent("line", witness, tuple(refutation))
 
 
 # --- public decision operations ---------------------------------------------------
@@ -428,8 +418,8 @@ def fom_real(config: PointConfig, max_points: int = MAX_POINTS):
     if not maps:
         return False, None
     if route == "line":
-        return True, _lift_line_map(reduction, maps[0].matrix)
-    return True, SemiProjMap(maps[0].matrix, antiholo=True)
+        return True, _lift(reduction, maps[0])
+    return True, SemiProjMap.from_z(maps[0].z, antiholo=True)
 
 
 def descends_real(config: PointConfig, seed: int = 0,
@@ -454,11 +444,8 @@ def real_model_check(config: PointConfig, certificate: DescentCertificate):
         return False, "incomplete-certificate"
     if model.conj() != model:
         return False, "conj-instability"
-    recomputed = SemiProjMap(
-        matmul(splitter.matrix, adjugate(conj_matrix(splitter.matrix))),
-        antiholo=True,
-    )
-    if not cocycle.antiholo or recomputed.matrix != cocycle.matrix:
+    recomputed = _cocycle(splitter)
+    if not cocycle.antiholo or recomputed.z != cocycle.z:
         return False, "cocycle-mismatch"
     if not (recomputed * recomputed).is_identity():
         return False, "cocycle-mismatch"

@@ -37,7 +37,7 @@ from .descent import (
     real_model_check,
 )
 from .equivalence import NeedsReductionError, aut_group, equivalences
-from .plane import PointConfig, ProjPoint, SemiProjMap, det3
+from .plane import PointConfig, ProjPoint, SemiProjMap
 
 
 class InvalidParameterError(InvalidInputError):
@@ -233,8 +233,10 @@ def random_twist(rng) -> SemiProjMap:
                   for _ in range(3))
             for _ in range(3)
         )
-        if any(x for row in rows for x in row) and det3(rows):
+        try:
             return SemiProjMap(rows)
+        except InvalidInputError:  # zero or singular
+            continue
 
 
 # --- the bundled verification run --------------------------------------------------
@@ -298,7 +300,7 @@ def _check_family_case(params: FamilyParams, variant, seed, generic_report):
     if len(certificate.refutation) != len(group.holomorphic):
         failures.append("refutation does not cover the antiholomorphic coset")
     for _, square in certificate.refutation:
-        if square.antiholo or square.matrix != M_MATRIX.matrix:
+        if square != M_MATRIX:
             failures.append("a coset element squares to something other than M")
             break
     return FamilyCase(

@@ -46,10 +46,6 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @property
-    def is_real(self):
-        return self.im == 0
-
     def conj(self) -> "GaussianRational":
         """Complex conjugate: negates the imaginary part."""
         return GaussianRational(self.re, -self.im)
@@ -162,11 +158,6 @@ def gq(value) -> GaussianRational:
     if isinstance(value, str):
         return parse_gq(value)
     return GaussianRational(value)
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 # --- string grammar ----------------------------------------------------------

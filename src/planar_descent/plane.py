@@ -1,20 +1,32 @@
-"""Projective line and plane primitives with exact canonical representatives.
+"""Projective line and plane primitives, stored as normalized Gaussian integers.
 
 Points of the line (two coordinates) and of the plane (three), lines and
 conics over Q(i), plus semilinear maps of either: a projective linear
 map (2x2 or 3x3) together with a flag saying whether coordinatewise
-complex conjugation is applied first.  Everything is canonicalized on
-construction, so equality and hashing are structural:
+complex conjugation is applied first.
 
-  * points and lines scale their leftmost nonzero coordinate to 1;
-  * maps scale the first nonzero matrix entry (row-major) to 1;
-  * configurations keep their points sorted by a fixed total order
-    (lexicographic on the canonical coordinate strings).
+A Gaussian integer is a pair of Python ints (re, im); a vector of d of
+them is a flat 2d-tuple (ar, ai, br, bi, ...), and a d x d matrix is a
+tuple of d such rows.  Points, lines and maps store one such tuple, in
+normal form: multiplied by the conjugate of the leading nonzero entry
+(row-major for matrices), then divided by the gcd of all integer parts.
+The leading entry becomes a positive integer L, and proportional tuples
+get the same normal form, so equality and hashing are structural, and
+apply, compose and inverse are Gaussian-integer products.  The kernels
+below are the only linear algebra the decision procedures use.
+
+The Q(i) form with leading entry 1 (`coords`, `dual`, `matrix`) is the
+stored tuple divided by L.  It is a read-only view, computed on demand;
+`key()`, `str` and the JSON output format it.  Configurations keep their
+points sorted by that key (lexicographic on the coordinate strings).
+Conics keep Q(i) coefficients; no decision uses them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from .errors import InternalError, InvalidInputError
 from .gaussian import GaussianRational, format_gq, gq
@@ -28,47 +40,326 @@ class DegenerateInputError(InvalidInputError):
     """Geometric input without the uniqueness the operation requires."""
 
 
-# --- exact linear algebra ------------------------------------------------------
+# --- Gaussian-integer linear algebra ---------------------------------------------
 
 
-def det3(m):
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _cof(m, r0, r1, c0, c1):
-    return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
-
-
-def adjugate(m):
-    """Transpose of the cofactor matrix of a 2x2 or 3x3 matrix; det(m) * inverse(m)."""
-    if len(m) == 2:
-        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+def zdet2(p, q):
+    ar, ai, br, bi = p
+    cr, ci, dr, di = q
     return (
-        (_cof(m, 1, 2, 1, 2), -_cof(m, 0, 2, 1, 2), _cof(m, 0, 1, 1, 2)),
-        (-_cof(m, 1, 2, 0, 2), _cof(m, 0, 2, 0, 2), -_cof(m, 0, 1, 0, 2)),
-        (_cof(m, 1, 2, 0, 1), -_cof(m, 0, 2, 0, 1), _cof(m, 0, 1, 0, 1)),
+        (ar * dr - ai * di) - (br * cr - bi * ci),
+        (ar * di + ai * dr) - (br * ci + bi * cr),
     )
 
 
-def matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(1, n)), a[r][0] * b[0][c]) for c in range(n))
-        for r in range(n)
+def zcross(u, v):
+    ar, ai, br, bi, cr, ci = u
+    dr, di, er, ei, fr, fi = v
+    return (
+        (br * fr - bi * fi) - (cr * er - ci * ei), (br * fi + bi * fr) - (cr * ei + ci * er),
+        (cr * dr - ci * di) - (ar * fr - ai * fi), (cr * di + ci * dr) - (ar * fi + ai * fr),
+        (ar * er - ai * ei) - (br * dr - bi * di), (ar * ei + ai * er) - (br * di + bi * dr),
     )
 
 
-def matvec(m, v):
-    if len(v) == 3:
-        return tuple([row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m])
-    return tuple([row[0] * v[0] + row[1] * v[1] for row in m])
+def zdet3(p, q, r):
+    ar, ai, br, bi, cr, ci = p
+    xr, xi, yr, yi, zr, zi = zcross(q, r)
+    return (
+        (ar * xr - ai * xi) + (br * yr - bi * yi) + (cr * zr - ci * zi),
+        (ar * xi + ai * xr) + (br * yi + bi * yr) + (cr * zi + ci * zr),
+    )
 
 
-def conj_matrix(m):
-    return tuple(tuple(x.conj() for x in row) for row in m)
+def zmatvec(m, v):
+    """The product of a Z[i] matrix (any tuple of rows) and a vector; zmatvec3 unrolls 3x3."""
+    out = []
+    for row in m:
+        re = im = 0
+        for j in range(0, len(v), 2):
+            re += row[j] * v[j] - row[j + 1] * v[j + 1]
+            im += row[j] * v[j + 1] + row[j + 1] * v[j]
+        out += (re, im)
+    return tuple(out)
+
+
+def zmatvec3(m, v):
+    ar, ai, br, bi, cr, ci = v
+    out = []
+    for r0, i0, r1, i1, r2, i2 in m:
+        out.append((r0 * ar - i0 * ai) + (r1 * br - i1 * bi) + (r2 * cr - i2 * ci))
+        out.append((r0 * ai + i0 * ar) + (r1 * bi + i1 * br) + (r2 * ci + i2 * cr))
+    return tuple(out)
+
+
+def zmatmul(a, b):
+    columns = zcolumns(b)
+    return tuple([zmatvec(columns, row) for row in a])
+
+
+def zadjugate2(m):
+    (ar, ai, br, bi), (cr, ci, dr, di) = m
+    return ((dr, di, -br, -bi), (-cr, -ci, ar, ai))
+
+
+def zadjugate3(m):
+    """Rows are the cross products of the column pairs (1, 2), (2, 0), (0, 1)."""
+    (ar, ai, br, bi, cr, ci), (dr, di, er, ei, fr, fi), (gr, gi, hr, hi, ir, ii) = m
+    c0, c1, c2 = (ar, ai, dr, di, gr, gi), (br, bi, er, ei, hr, hi), (cr, ci, fr, fi, ir, ii)
+    return (zcross(c1, c2), zcross(c2, c0), zcross(c0, c1))
+
+
+def zconj(v):
+    """Complex conjugate of a Z[i] vector, or of a matrix given as a tuple of rows."""
+    if isinstance(v[0], tuple):
+        return tuple([zconj(row) for row in v])
+    return tuple([-x if k & 1 else x for k, x in enumerate(v)])
+
+
+def zscale(c, v):
+    """c = (cr, ci) times every entry of a Z[i] vector, or of a matrix given as rows."""
+    if isinstance(v[0], tuple):
+        return tuple([zscale(c, row) for row in v])
+    cr, ci = c
+    out = []
+    for j in range(0, len(v), 2):
+        out.append(cr * v[j] - ci * v[j + 1])
+        out.append(cr * v[j + 1] + ci * v[j])
+    return tuple(out)
+
+
+def zcolumns(cols):
+    """The matrix with the given vectors as its columns."""
+    return tuple([
+        tuple([x for col in cols for x in col[j:j + 2]]) for j in range(0, len(cols[0]), 2)
+    ])
+
+
+ZIDENTITY = {
+    n: tuple(tuple(1 if c == 2 * r else 0 for c in range(2 * n)) for r in range(n))
+    for n in (2, 3)
+}
+
+
+def znormal(v):
+    """The normal form of a nonzero Z[i] vector, an exact key of its projective point.
+
+    Multiplying by the conjugate of the leading nonzero entry x makes
+    that entry the positive integer |x|^2; proportional vectors then
+    differ by a positive rational, which dividing by the gcd of all
+    integer parts removes.
+    """
+    k = 0
+    while not (v[k] or v[k + 1]):
+        k += 2
+    xr, xi = v[k], v[k + 1]
+    out = []
+    for j in range(0, len(v), 2):
+        out.append(v[j] * xr + v[j + 1] * xi)
+        out.append(v[j + 1] * xr - v[j] * xi)
+    g = gcd(*out)
+    return tuple([x // g for x in out])
+
+
+def znormal_matrix(m):
+    """The normal form of a nonzero Z[i] matrix, taken row-major as one vector."""
+    flat = znormal([x for row in m for x in row])
+    width = 2 * len(m)
+    return tuple([flat[j:j + width] for j in range(0, len(flat), width)])
+
+
+def zlead(values):
+    """L, the leading entry of a normal form: its first nonzero integer part."""
+    return next(x for x in values if x)
+
+
+def zframe_matrix2(v1, v2, v3):
+    """The line's frame matrix (see zframe_matrix3), or None unless the points are distinct."""
+    d1, d2 = zdet2(v3, v2), zdet2(v1, v3)
+    if zdet2(v1, v2) == (0, 0) or d1 == (0, 0) or d2 == (0, 0):
+        return None
+    return zcolumns((zscale(d1, v1), zscale(d2, v2)))
+
+
+def zframe_matrix3(v1, v2, v3, v4):
+    """Columns d_k * v_k, the frame matrix scaled to stay integral, or None.
+
+    d_k is the determinant of v_1, v_2, v_3 with v_k replaced by v_4, so
+    by Cramer's rule the columns sum to det(v_1, v_2, v_3) * v_4.  The
+    points form a frame exactly when det(v_1, v_2, v_3) and every d_k are
+    nonzero; otherwise the result is None.
+    """
+    if zdet3(v1, v2, v3) == (0, 0):
+        return None
+    d1, d2, d3 = zdet3(v4, v2, v3), zdet3(v1, v4, v3), zdet3(v1, v2, v4)
+    if d1 == (0, 0) or d2 == (0, 0) or d3 == (0, 0):
+        return None
+    return zcolumns((zscale(d1, v1), zscale(d2, v2), zscale(d3, v3)))
+
+
+# --- conversion to and from Q(i) ---------------------------------------------------
+
+
+def _from_qi(values, message):
+    """Q(i) values as one Z[i] vector, times the lcm of their denominators."""
+    parts = [x for c in map(gq, values) for x in (c.re, c.im)]
+    if not any(parts):
+        raise InvalidInputError(message)
+    m = lcm(*[x.denominator for x in parts])
+    return tuple([x.numerator * (m // x.denominator) for x in parts])
+
+
+def _qi_view(v, lead):
+    return tuple([
+        GaussianRational(Fraction(v[j], lead), Fraction(v[j + 1], lead))
+        for j in range(0, len(v), 2)
+    ])
+
+
+# --- points, lines, conics ----------------------------------------------------
+
+
+def _plane(p):
+    """The stored vector of a point of the plane; InvalidInputError on the line."""
+    if len(p.z) != 6:
+        raise InvalidInputError("this operation needs points of the plane")
+    return p.z
+
+
+class _NormalVector:
+    """A point or a line: the normal form `z` of a nonzero Z[i] vector."""
+
+    __slots__ = ("z",)
+
+    @classmethod
+    def from_z(cls, v):
+        """The object of a nonzero Z[i] vector."""
+        obj = object.__new__(cls)
+        obj.z = znormal(v)
+        return obj
+
+    def conj(self):
+        obj = object.__new__(type(self))
+        obj.z = zconj(self.z)
+        return obj
+
+    def key(self):
+        return tuple([format_gq(c) for c in _qi_view(self.z, zlead(self.z))])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.z == other.z
+
+    def __hash__(self):
+        return hash(self.z)
+
+
+class ProjPoint(_NormalVector):
+    """A point of the projective line (two coordinates) or plane (three)."""
+
+    __slots__ = ()
+
+    def __init__(self, *coords):
+        if len(coords) not in (2, 3):
+            raise InvalidInputError(
+                f"a projective point has two or three coordinates, not {len(coords)}"
+            )
+        self.z = znormal(_from_qi(coords, "projective coordinates must not all be zero"))
+
+    @property
+    def coords(self):
+        """The coordinates with the leftmost nonzero one scaled to 1."""
+        return _qi_view(self.z, zlead(self.z))
+
+    def __lt__(self, other):
+        return self.key() < other.key()
+
+    def __repr__(self):
+        return f"ProjPoint{self.coords!r}"
+
+    def __str__(self):
+        return "(" + ":".join(self.key()) + ")"
+
+
+class Line(_NormalVector):
+    """A line of the plane, stored by the normal form of its dual coordinates."""
+
+    __slots__ = ()
+
+    def __init__(self, a, b, c):
+        self.z = znormal(_from_qi((a, b, c), "projective coordinates must not all be zero"))
+
+    @property
+    def dual(self):
+        return _qi_view(self.z, zlead(self.z))
+
+    def contains(self, p: ProjPoint) -> bool:
+        return zmatvec3((self.z,), _plane(p)) == (0, 0)
+
+    def __repr__(self):
+        return f"Line{self.dual!r}"
+
+    def __str__(self):
+        return "[" + ":".join(self.key()) + "]"
+
+
+def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
+    """True iff the 3x3 coordinate determinant vanishes exactly."""
+    return zdet3(_plane(p), _plane(q), _plane(r)) == (0, 0)
+
+
+def line_through(p: ProjPoint, q: ProjPoint) -> Line:
+    cross = zcross(_plane(p), _plane(q))
+    if p == q:
+        raise DegenerateInputError("two distinct points are needed to span a line")
+    return Line.from_z(cross)
+
+
+class Conic:
+    """A plane conic, coefficients ordered (xx, yy, zz, xy, xz, yz)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, xx, yy, zz, xy, xz, yz):
+        coeffs = tuple(gq(c) for c in (xx, yy, zz, xy, xz, yz))
+        lead = next((c for c in coeffs if c), None)
+        if lead is None:
+            raise InvalidInputError("conic coefficients must not all be zero")
+        inv = lead.inverse()
+        self.coeffs = tuple(c * inv for c in coeffs)
+
+    def evaluate(self, p: ProjPoint) -> GaussianRational:
+        xx, yy, zz, xy, xz, yz = self.coeffs
+        _plane(p)
+        x, y, z = p.coords
+        return (
+            xx * x * x + yy * y * y + zz * z * z
+            + xy * x * y + xz * x * z + yz * y * z
+        )
+
+    def contains(self, p: ProjPoint) -> bool:
+        return not self.evaluate(p)
+
+    @property
+    def is_degenerate(self) -> bool:
+        # 4 det of the symmetric matrix with diagonal xx, yy, zz and
+        # off-diagonal entries xy/2, xz/2, yz/2
+        xx, yy, zz, xy, xz, yz = self.coeffs
+        return not (
+            4 * xx * yy * zz + xy * xz * yz - xx * yz * yz - yy * xz * xz - zz * xy * xy
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Conic):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(("conic", self.coeffs))
+
+    def __repr__(self):
+        return f"Conic{self.coeffs!r}"
 
 
 def rref(rows):
@@ -96,158 +387,6 @@ def rref(rows):
     return [tuple(row) for row in rows], pivots
 
 
-# --- points, lines, conics ----------------------------------------------------
-
-
-def _plane_coords(p):
-    """The coordinates of a point of the plane; InvalidInputError on the line."""
-    if len(p.coords) != 3:
-        raise InvalidInputError("this operation needs points of the plane")
-    return p.coords
-
-
-def _canonical(coords):
-    coords = tuple(gq(c) for c in coords)
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise InvalidInputError("projective coordinates must not all be zero")
-    inv = lead.inverse()
-    return tuple(c * inv for c in coords)
-
-
-class ProjPoint:
-    """A point of the projective line (two coordinates) or plane (three).
-
-    The leftmost nonzero coordinate is scaled to 1.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, *coords):
-        if len(coords) not in (2, 3):
-            raise InvalidInputError(
-                f"a projective point has two or three coordinates, not {len(coords)}"
-            )
-        self.coords = _canonical(coords)
-
-    def conj(self) -> "ProjPoint":
-        return ProjPoint(*(c.conj() for c in self.coords))
-
-    def key(self):
-        return tuple(format_gq(c) for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        return f"ProjPoint{self.coords!r}"
-
-    def __str__(self):
-        return "(" + ":".join(format_gq(c) for c in self.coords) + ")"
-
-
-class Line:
-    """A line, stored by its canonical dual coordinates."""
-
-    __slots__ = ("dual",)
-
-    def __init__(self, a, b, c):
-        self.dual = _canonical((a, b, c))
-
-    def contains(self, p: ProjPoint) -> bool:
-        d0, d1, d2 = self.dual
-        x, y, z = _plane_coords(p)
-        return not (d0 * x + d1 * y + d2 * z)
-
-    def conj(self) -> "Line":
-        return Line(*(c.conj() for c in self.dual))
-
-    def key(self):
-        return tuple(format_gq(c) for c in self.dual)
-
-    def __eq__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self.dual == other.dual
-
-    def __hash__(self):
-        return hash(("line", self.dual))
-
-    def __repr__(self):
-        return f"Line{self.dual!r}"
-
-    def __str__(self):
-        return "[" + ":".join(format_gq(c) for c in self.dual) + "]"
-
-
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """True iff the 3x3 coordinate determinant vanishes exactly."""
-    return not det3((_plane_coords(p), _plane_coords(q), _plane_coords(r)))
-
-
-def line_through(p: ProjPoint, q: ProjPoint) -> Line:
-    a, b, c = _plane_coords(p)
-    d, e, f = _plane_coords(q)
-    if p == q:
-        raise DegenerateInputError("two distinct points are needed to span a line")
-    return Line(b * f - c * e, c * d - a * f, a * e - b * d)
-
-
-class Conic:
-    """A plane conic, coefficients ordered (xx, yy, zz, xy, xz, yz)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, xx, yy, zz, xy, xz, yz):
-        coeffs = tuple(gq(c) for c in (xx, yy, zz, xy, xz, yz))
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
-            raise InvalidInputError("conic coefficients must not all be zero")
-        inv = lead.inverse()
-        self.coeffs = tuple(c * inv for c in coeffs)
-
-    def evaluate(self, p: ProjPoint) -> GaussianRational:
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        x, y, z = _plane_coords(p)
-        return (
-            xx * x * x + yy * y * y + zz * z * z
-            + xy * x * y + xz * x * z + yz * y * z
-        )
-
-    def contains(self, p: ProjPoint) -> bool:
-        return not self.evaluate(p)
-
-    @property
-    def is_degenerate(self) -> bool:
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        half = Fraction(1, 2)
-        m = (
-            (xx, xy * half, xz * half),
-            (xy * half, yy, yz * half),
-            (xz * half, yz * half, zz),
-        )
-        return not det3(m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Conic):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("conic", self.coeffs))
-
-    def __repr__(self):
-        return f"Conic{self.coeffs!r}"
-
-
 # --- configurations -----------------------------------------------------------
 
 
@@ -264,7 +403,7 @@ class PointConfig:
             pts.append(p)
         if not pts:
             raise InvalidInputError("a configuration needs at least one point")
-        if len({len(p.coords) for p in pts}) != 1:
+        if len({len(p.z) for p in pts}) != 1:
             raise InvalidInputError("points of a configuration need equally many coordinates")
         pts.sort(key=ProjPoint.key)
         for a, b in zip(pts, pts[1:]):
@@ -304,66 +443,66 @@ def conj_config(config: PointConfig) -> PointConfig:
 # --- semilinear maps ----------------------------------------------------------
 
 
-_IDENTITY = {
-    n: tuple(tuple(GaussianRational(1 if r == c else 0) for c in range(n)) for r in range(n))
-    for n in (2, 3)
-}
-
-
 class SemiProjMap:
     """An invertible projective map of the line or plane, optionally preceded by conjugation.
 
     The action on a point with coordinate vector v is matrix . v when
     holomorphic, matrix . conj(v) when antiholomorphic.  Matrices are
-    2x2 (the line) or 3x3 (the plane) and canonical (first nonzero entry
-    in row-major order equals 1), so PGL equality is structural.
+    2x2 (the line) or 3x3 (the plane), stored in normal form `z`, so
+    PGL equality is structural.
     """
 
-    __slots__ = ("matrix", "antiholo")
+    __slots__ = ("z", "antiholo")
 
     def __init__(self, matrix, antiholo=False):
-        rows = tuple(tuple(gq(x) for x in row) for row in matrix)
+        rows = tuple(tuple(row) for row in matrix)
         n = len(rows)
         if n not in (2, 3) or any(len(r) != n for r in rows):
             raise InvalidInputError("matrix must be 2x2 or 3x3")
-        lead = next((x for row in rows for x in row if x), None)
-        if lead is None:
-            raise InvalidInputError("zero matrix is not a projective map")
-        inv = lead.inverse()
-        rows = tuple(tuple(x * inv for x in row) for row in rows)
-        if n == 2:
-            determinant = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        else:
-            determinant = det3(rows)
-        if not determinant:
+        flat = _from_qi(chain.from_iterable(rows), "zero matrix is not a projective map")
+        self.z = znormal_matrix([flat[j:j + 2 * n] for j in range(0, len(flat), 2 * n)])
+        if (zdet2 if n == 2 else zdet3)(*self.z) == (0, 0):
             raise InvalidInputError("matrix is singular")
-        self.matrix = rows
         self.antiholo = bool(antiholo)
 
     @classmethod
+    def from_z(cls, m, antiholo=False):
+        """The map of an invertible Z[i] matrix."""
+        g = object.__new__(cls)
+        g.z = znormal_matrix(m)
+        g.antiholo = antiholo
+        return g
+
+    @classmethod
     def identity(cls) -> "SemiProjMap":
-        return cls(_IDENTITY[3])
+        return cls.from_z(ZIDENTITY[3])
+
+    @property
+    def matrix(self):
+        """The matrix with the first nonzero entry (row-major) scaled to 1."""
+        lead = zlead(chain.from_iterable(self.z))
+        return tuple([_qi_view(row, lead) for row in self.z])
 
     def is_identity(self) -> bool:
-        return not self.antiholo and self.matrix == _IDENTITY[len(self.matrix)]
+        return not self.antiholo and self.z == ZIDENTITY[len(self.z)]
 
     def apply(self, obj):
         """Apply to a ProjPoint or a PointConfig of the map's dimension."""
         if isinstance(obj, PointConfig):
             return PointConfig(self.apply(p) for p in obj)
-        v = obj.coords
-        if len(v) != len(self.matrix):
-            raise InvalidInputError("the point and the map differ in dimension")
-        if self.antiholo:
-            v = tuple(c.conj() for c in v)
-        return ProjPoint(*matvec(self.matrix, v))
+        v = obj.z
+        if len(v) == 6 and len(self.z) == 3:
+            return ProjPoint.from_z(zmatvec3(self.z, zconj(v) if self.antiholo else v))
+        if len(v) == 4 and len(self.z) == 2:
+            return ProjPoint.from_z(zmatvec(self.z, zconj(v) if self.antiholo else v))
+        raise InvalidInputError("the point and the map differ in dimension")
 
     def compose(self, other: "SemiProjMap") -> "SemiProjMap":
         """self after other, with the semilinear composition law."""
-        if len(other.matrix) != len(self.matrix):
+        if len(other.z) != len(self.z):
             raise InvalidInputError("maps of different dimensions do not compose")
-        rhs = conj_matrix(other.matrix) if self.antiholo else other.matrix
-        return SemiProjMap(matmul(self.matrix, rhs), self.antiholo ^ other.antiholo)
+        rhs = zconj(other.z) if self.antiholo else other.z
+        return SemiProjMap.from_z(zmatmul(self.z, rhs), self.antiholo ^ other.antiholo)
 
     def __mul__(self, other):
         if not isinstance(other, SemiProjMap):
@@ -371,24 +510,24 @@ class SemiProjMap:
         return self.compose(other)
 
     def inverse(self) -> "SemiProjMap":
-        adj = adjugate(self.matrix)
+        adj = (zadjugate2 if len(self.z) == 2 else zadjugate3)(self.z)
         if self.antiholo:
-            adj = conj_matrix(adj)
-        return SemiProjMap(adj, self.antiholo)
+            adj = zconj(adj)
+        return SemiProjMap.from_z(adj, self.antiholo)
 
     def key(self):
         # identity sorts first within each flag class
-        return (self.antiholo, self.matrix != _IDENTITY[len(self.matrix)]) + tuple(
+        return (self.antiholo, self.z != ZIDENTITY[len(self.z)]) + tuple(
             [format_gq(x) for row in self.matrix for x in row]
         )
 
     def __eq__(self, other):
         if not isinstance(other, SemiProjMap):
             return NotImplemented
-        return self.antiholo == other.antiholo and self.matrix == other.matrix
+        return self.antiholo == other.antiholo and self.z == other.z
 
     def __hash__(self):
-        return hash((self.antiholo, self.matrix))
+        return hash((self.antiholo, self.z))
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -404,17 +543,6 @@ class SemiProjMap:
 # --- frames -------------------------------------------------------------------
 
 
-def _check_frame(points):
-    if len(points) != 4:
-        raise NotAFrameError("a frame consists of four points")
-    for skip in range(4):
-        triple = [points[k] for k in range(4) if k != skip]
-        if collinear(*triple):
-            raise NotAFrameError(
-                f"three of the four points are collinear: {triple[0]}, {triple[1]}, {triple[2]}"
-            )
-
-
 def frame_map(frame) -> SemiProjMap:
     """The holomorphic map sending the standard frame to the given one.
 
@@ -423,18 +551,15 @@ def frame_map(frame) -> SemiProjMap:
     [v_1 v_2 v_3] c = v_4; general position makes every c_k nonzero.
     """
     frame = tuple(frame)
-    _check_frame(frame)
-    v1, v2, v3, v4 = (p.coords for p in frame)
-    d1 = det3((v4, v2, v3))
-    d2 = det3((v1, v4, v3))
-    d3 = det3((v1, v2, v4))
-    cols = (
-        tuple(d1 * x for x in v1),
-        tuple(d2 * x for x in v2),
-        tuple(d3 * x for x in v3),
-    )
-    matrix = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-    return SemiProjMap(matrix)
+    if len(frame) != 4:
+        raise NotAFrameError("a frame consists of four points")
+    matrix = zframe_matrix3(*[_plane(p) for p in frame])
+    if matrix is None:
+        triple = next(t for t in combinations(frame, 3) if collinear(*t))
+        raise NotAFrameError(
+            f"three of the four points are collinear: {triple[0]}, {triple[1]}, {triple[2]}"
+        )
+    return SemiProjMap.from_z(matrix)
 
 
 def map_between_frames(source, target) -> SemiProjMap:
@@ -452,7 +577,8 @@ def conic_through_5(config: PointConfig) -> Conic:
         raise InvalidInputError("exactly five points are required")
     rows = []
     for p in config:
-        x, y, z = _plane_coords(p)
+        _plane(p)
+        x, y, z = p.coords
         rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
     reduced, pivots = rref(rows)
     if len(pivots) != 5:

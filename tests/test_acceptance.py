@@ -8,7 +8,14 @@ import json
 import random
 import time
 
-from test_equivalence import brute_force_equivalences, _random_config, _random_twist
+from test_equivalence import (
+    _random_config,
+    _random_twist,
+    adjugate,
+    brute_force_equivalences,
+    conj_matrix,
+    matmul,
+)
 
 from planar_descent.cli import main as cli_main
 from planar_descent.gaussian import gq
@@ -40,11 +47,8 @@ from planar_descent.plane import (
     PointConfig,
     ProjPoint,
     SemiProjMap,
-    adjugate,
     conic_through_5,
-    conj_matrix,
     line_through,
-    matmul,
 )
 
 POOL = ("2+1i", "3+2i", "5+1i")

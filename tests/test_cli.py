@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from planar_descent.cli import main
 
 # sha256 of the report of `verify-paper --m-range 1..1 --samples 4 --seed 3`;
@@ -128,6 +130,24 @@ def test_refutation_round_trip_rechecks(tmp_path, capsys):
         assert element.apply(config) == config
         assert (element * element) == square
         assert not square.is_identity()
+
+
+def test_certificate_input_errors_are_typed():
+    from planar_descent.cli import certificate_from_json, map_from_json
+    from planar_descent.errors import InvalidInputError
+
+    identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
+    assert map_from_json({"antiholo": True, "matrix": identity}).antiholo
+    assert not map_from_json({"matrix": identity}).antiholo
+    # "false" is a string, not the JSON boolean; it used to mean true
+    with pytest.raises(InvalidInputError):
+        map_from_json({"antiholo": "false", "matrix": identity})
+    with pytest.raises(InvalidInputError):
+        map_from_json({"matrix": [1, 0, 0, 0, 1, 0, 0, 0, 1]})
+    element = {"antiholo": True, "matrix": identity}
+    for refutation in (["x"], [{"element": element}], {"element": element}):
+        with pytest.raises(InvalidInputError):
+            certificate_from_json({"descends": False, "refutation": refutation})
 
 
 def test_descend_without_qi_model_exit_code(tmp_path, capsys):

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import planar_descent.descent as descent_module
+import planar_descent.equivalence as equivalence_module
 from planar_descent.cli import certificate_to_json
-from planar_descent.errors import InternalError
+from planar_descent.errors import InternalError, InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.descent import (
     NotACocycleError,
@@ -17,16 +18,15 @@ from planar_descent.descent import (
     real_model_check,
 )
 from planar_descent.equivalence import NeedsReductionError, aut_group, classify, equivalences
-from planar_descent.plane import (
-    PointConfig,
-    ProjPoint,
-    SemiProjMap,
+from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
+from test_equivalence import (
+    FAULT_MESSAGES,
     adjugate,
     conj_matrix,
     det3,
+    drop_involution_or_swap,
     matmul,
 )
-from test_equivalence import FAULT_MESSAGES, drop_involution_or_swap
 
 
 def pt(a, b, c):
@@ -145,10 +145,12 @@ def test_normalizer_orders_and_closure_match_matrix_oracle():
 def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
     # the fault hits the holomorphic and the antiholomorphic enumeration
     # alike, so the coset-size check passes and the group checks must fire
-    def faulty(source, target, max_points):
-        return drop_involution_or_swap(equivalences(source, target, max_points), fault)
+    def faulty(frame, source, target, max_points):
+        return drop_involution_or_swap(
+            equivalence_module._frame_equivalences(frame, source, target, max_points), fault
+        )
 
-    monkeypatch.setattr(descent_module, "equivalences", faulty)
+    monkeypatch.setattr(descent_module, "_frame_equivalences", faulty)
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
         normalizer(STANDARD_FRAME)
 
@@ -227,11 +229,11 @@ def test_fom_witness_carries_conjugate_onto_input():
 
 
 def test_split_identity_gives_identity():
-    assert hilbert90_split(SemiProjMap.identity().matrix) == SemiProjMap.identity().matrix
+    assert hilbert90_split(SemiProjMap.identity().matrix) == SemiProjMap.identity()
 
 
 def test_split_half_turn():
-    b = hilbert90_split(M.matrix)
+    b = hilbert90_split(M.matrix).matrix
     # B conj(B)^-1 must equal M projectively; diag(i, i, 1) is one witness
     recovered = SemiProjMap(matmul(b, adjugate(conj_matrix(b))))
     assert recovered == M
@@ -244,6 +246,9 @@ def test_split_half_turn():
 def test_split_rejects_non_cocycle():
     with pytest.raises(NotACocycleError):
         hilbert90_split(J.matrix)
+    # a 2x2 matrix is a typed error, not a ValueError from unpacking
+    with pytest.raises(InvalidInputError):
+        hilbert90_split(((0, 1), (1, 0)))
 
 
 def test_split_random_exact_cocycles():
@@ -251,7 +256,7 @@ def test_split_random_exact_cocycles():
     for _ in range(25):
         b = _random_twist(rng)
         cocycle = matmul(b.matrix, adjugate(conj_matrix(b.matrix)))
-        split = hilbert90_split(cocycle, seed=5)
+        split = hilbert90_split(cocycle, seed=5).matrix
         recovered = SemiProjMap(matmul(split, adjugate(conj_matrix(split))))
         assert recovered == SemiProjMap(cocycle)
 
@@ -463,9 +468,9 @@ def test_line_refutation_on_anisotropic_six_points():
         assert element.apply(config) == config
 
 
-# --- pinned line-route certificates ---------------------------------------------
+# --- pinned certificates, per route ---------------------------------------------
 
-_LINE_TWIST = SemiProjMap(((1, "1+1i", 0), (2, -1, "0+1i"), (0, 3, 1)))
+_TWIST = SemiProjMap(((1, "1+1i", 0), (2, -1, "0+1i"), (0, 3, 1)))
 _COSET4 = [pt("1+1i", 1, 0), pt("3/2+3/2i", 1, 0), pt(3, 1, 0), pt(1, 1, 0)]
 _ANISO6 = [
     pt("1+1i", 1, 0), pt("-1/2-1/2i", 1, 0), pt(2, 1, 0), pt("-1/2", 1, 0),
@@ -473,43 +478,105 @@ _ANISO6 = [
 ]
 _NONREAL4 = [pt(0, 1, 0), pt(1, 1, 0), pt(1, 0, 0), pt("2+3i", 1, 0)]
 _HARMONIC = [pt(0, 1, 0), pt(1, 0, 0), pt(1, 1, 0), pt(-1, 1, 0)]
+_FRAME = [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1)]
 
-# name -> (points, tag, fom_real, descends, sha256 of the sorted-keys JSON
-# dump of the certificate); a change that alters a digest on purpose must
-# say so and why
-LINE_ROUTE_PINS = {
-    "collinear_descends": (
-        _COSET4, "Collinear", True, True,
-        "80d2ba62877db3e2705b75be7eb6f114b87ba495504e9ae98e90a9500b13406e"),
-    "collinear_refuted": (
-        _ANISO6, "Collinear", True, False,
-        "ca4e5767f1f7d880d294a3d25e1f98af3fcae444e5299eef723fc26c2e2958d7"),
-    "collinear_not_fom": (
-        _NONREAL4, "Collinear", False, False,
-        "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
-    "line_plus_point_descends": (
-        _COSET4 + [pt(0, 0, 1)], "LinePlusPoint", True, True,
-        "186b1da34213a8cb0518ba23b0a42b075828169a0c7bd39cd656dd6fcd1b5568"),
-    "line_plus_point_refuted": (
-        _ANISO6 + [pt(0, 0, 1)], "LinePlusPoint", True, False,
-        "19bb4fb8e0d7c1b04d351d1d216363f16db5bb0ed5b2d7d5bb3bdc24203f5e65"),
-    "line_plus_point_not_fom": (
-        _NONREAL4 + [pt(0, 0, 1)], "LinePlusPoint", False, False,
-        "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
-    "harmonic_plus_point_descends": (
-        _HARMONIC + [pt(1, 2, 1)], "LinePlusPoint", True, True,
-        "41c39b0129e8cfd0331f94c74b4128907bf60c1e31cb214d42f0ea7960e14aa1"),
+# route -> name -> (points, tag, fom_real, descends, sha256 of the
+# sorted-keys JSON dump of the certificate of the twisted points); a
+# change that alters a digest on purpose must say so and why
+ROUTE_PINS = {
+    "line": {
+        "collinear_descends": (
+            _COSET4, "Collinear", True, True,
+            "80d2ba62877db3e2705b75be7eb6f114b87ba495504e9ae98e90a9500b13406e"),
+        "collinear_refuted": (
+            _ANISO6, "Collinear", True, False,
+            "ca4e5767f1f7d880d294a3d25e1f98af3fcae444e5299eef723fc26c2e2958d7"),
+        "collinear_not_fom": (
+            _NONREAL4, "Collinear", False, False,
+            "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
+        "line_plus_point_descends": (
+            _COSET4 + [pt(0, 0, 1)], "LinePlusPoint", True, True,
+            "186b1da34213a8cb0518ba23b0a42b075828169a0c7bd39cd656dd6fcd1b5568"),
+        "line_plus_point_refuted": (
+            _ANISO6 + [pt(0, 0, 1)], "LinePlusPoint", True, False,
+            "19bb4fb8e0d7c1b04d351d1d216363f16db5bb0ed5b2d7d5bb3bdc24203f5e65"),
+        "line_plus_point_not_fom": (
+            _NONREAL4 + [pt(0, 0, 1)], "LinePlusPoint", False, False,
+            "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
+        "harmonic_plus_point_descends": (
+            _HARMONIC + [pt(1, 2, 1)], "LinePlusPoint", True, True,
+            "41c39b0129e8cfd0331f94c74b4128907bf60c1e31cb214d42f0ea7960e14aa1"),
+    },
+    "tiny": {
+        "one_point": (
+            [pt("2+1i", 1, 3)], "Tiny", True, True,
+            "4cf416cfdc0b6285de82397fda030c5ebfd4f6d2e49ded7a511e08633e08264a"),
+        "two_points": (
+            [pt(1, "0+1i", 2), pt("1-1i", 3, 1)], "Tiny", True, True,
+            "5be01d967c5afa0bf4ea63951c34ee503333c4f85e45aa6f10a7e295e9c32867"),
+        "three_points": (
+            [pt("1+2i", 1, 0), pt(0, "3-1i", 1), pt(2, 1, "1+1i")], "Tiny", True, True,
+            "79de4c7e5ade4455aff6fcfee48d93a5b7e596b4d3d847bed28e3c92329e0b65"),
+        "three_collinear": (
+            [pt("1+1i", 1, 0), pt(2, 1, 0), pt("0+3i", 1, 0)], "Tiny", True, True,
+            "3b577761ca9af3c4ff2e8335261a9d41a238a1a8c78ca9b1b2c052b5bbb8ca5c"),
+    },
+    "frame": {
+        "descends": (
+            _FRAME + [pt(2, 3, 1)], "HasFrame", True, True,
+            "4ed4bef33d3a8ee1b9ccd118df2198ab30472c6d357051946d74a3e2e37e2a79"),
+        "refuted": (
+            list(_paper_family(["2+1i"])), "HasFrame", True, False,
+            "5f03e39cb57b7d932f389f34218c26d06e7e9872459564dd069dd0add659d9b3"),
+        "not_fom": (
+            _FRAME + [pt(1, "2+1i", 0)], "HasFrame", False, False,
+            "a1b17ecf1019fb457821283d8c54d8c06d878218fc7efa1d4b3a5d8cccc828ad"),
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(LINE_ROUTE_PINS))
-def test_line_route_certificates_are_pinned(name):
-    points, tag, fom, descends, digest = LINE_ROUTE_PINS[name]
-    config = _LINE_TWIST.apply(PointConfig(points))
+def _check_pinned(route, name):
+    points, tag, fom, descends, digest = ROUTE_PINS[route][name]
+    config = _TWIST.apply(PointConfig(points))
     assert classify(config).tag.value == tag
     cert = descends_real(config)
-    assert (cert.route, cert.fom_real, cert.descends) == ("line", fom, descends)
+    assert (cert.route, cert.fom_real, cert.descends) == (route, fom, descends)
     if descends:
         assert real_model_check(config, cert) == (True, None)
     text = json.dumps(certificate_to_json(cert), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_PINS["line"]))
+def test_line_route_certificates_are_pinned(name):
+    _check_pinned("line", name)
+
+
+@pytest.mark.parametrize("route, name", [
+    (route, name) for route in ("tiny", "frame") for name in sorted(ROUTE_PINS[route])
+])
+def test_route_certificates_are_pinned(route, name):
+    _check_pinned(route, name)
+
+
+# --- one classification per public decision ------------------------------------
+
+
+@pytest.mark.parametrize("route, name", [
+    ("tiny", "three_points"), ("line", "line_plus_point_descends"), ("frame", "refuted"),
+])
+def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
+    calls = []
+
+    def counting(config, *args):
+        calls.append(config)
+        return classify(config, *args)
+
+    for module in (descent_module, equivalence_module):
+        monkeypatch.setattr(module, "classify", counting)
+    config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
+    decisions = [descends_real, fom_real] + ([normalizer] if route == "frame" else [])
+    for decide in decisions:
+        calls.clear()
+        decide(config)
+        assert calls == [config], decide.__name__

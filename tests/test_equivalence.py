@@ -21,16 +21,57 @@ from planar_descent.equivalence import (
     symmetry_permutations,
 )
 from planar_descent.plane import (
+    Line,
     PointConfig,
     ProjPoint,
     SemiProjMap,
     collinear,
     line_through,
+    znormal,
 )
 
 
 def pt(a, b, c):
     return ProjPoint(gq(a), gq(b), gq(c))
+
+
+# --- Q(i) matrix arithmetic for the oracles, independent of the library's
+# Gaussian-integer kernels; matrices are tuples of rows of GaussianRationals
+
+
+def det3(m):
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def adjugate(m):
+    """Transpose of the cofactor matrix of a 3x3 matrix; det(m) * inverse(m)."""
+    def cof(r0, r1, c0, c1):
+        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+
+    return (
+        (cof(1, 2, 1, 2), -cof(0, 2, 1, 2), cof(0, 1, 1, 2)),
+        (-cof(1, 2, 0, 2), cof(0, 2, 0, 2), -cof(0, 1, 0, 2)),
+        (cof(1, 2, 0, 1), -cof(0, 2, 0, 1), cof(0, 1, 0, 1)),
+    )
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(1, n)), a[r][0] * b[0][c]) for c in range(n))
+        for r in range(n)
+    )
+
+
+def matvec(m, v):
+    return tuple(sum((row[k] * v[k] for k in range(1, len(v))), row[0] * v[0]) for row in m)
+
+
+def conj_matrix(m):
+    return tuple(tuple(x.conj() for x in row) for row in m)
 
 
 FAMILY_F = PointConfig([pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)])
@@ -208,8 +249,6 @@ def test_equivalences_size_mismatch_empty():
 
 
 def _random_twist(rng):
-    from planar_descent.plane import det3
-
     while True:
         rows = tuple(
             tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
@@ -222,8 +261,6 @@ def _random_twist(rng):
 
 def _frame_rows(quad):
     """Rows of the frame matrix (columns d_k * v_k), or None if degenerate."""
-    from planar_descent.plane import det3
-
     v1, v2, v3, v4 = (p.coords for p in quad)
     if not det3((v1, v2, v3)):
         return None
@@ -244,8 +281,6 @@ def brute_force_equivalences(source, target):
     tuples).  All anchors must agree, which checks that the library's
     fixed-witness choice is irrelevant.
     """
-    from planar_descent.plane import adjugate, matmul, matvec
-
     target_set = set(target.points)
     image_rows = [
         rows
@@ -317,8 +352,6 @@ def test_equivalences_match_brute_force():
 
 
 def test_projective_key_is_scale_invariant_and_separates_points():
-    from planar_descent.equivalence import _zclear, _zkey3
-
     rng = random.Random(25)
     for _ in range(200):
         v = tuple(rng.randint(-9, 9) for _ in range(6))
@@ -331,10 +364,19 @@ def test_projective_key_is_scale_invariant_and_separates_points():
         for k in range(3):
             ar, ai = v[2 * k], v[2 * k + 1]
             scaled.extend((lr * ar - li * ai, lr * ai + li * ar))
-        assert _zkey3(tuple(scaled)) == _zkey3(v)
+        assert znormal(tuple(scaled)) == znormal(v)
+        # the classes store that normal form: Q(i) coordinates times a
+        # nonzero Q(i) scalar give an equal point and line, printed alike
+        c = GaussianRational(Fraction(lr, rng.randint(1, 5)), Fraction(li, rng.randint(1, 5)))
+        coords = [GaussianRational(v[k], v[k + 1]) for k in (0, 2, 4)]
+        for cls in (ProjPoint, Line):
+            a, b = cls(*coords), cls(*[c * x for x in coords])
+            assert a.z == b.z == znormal(v)
+            assert a == b and hash(a) == hash(b)
+            assert str(a) == str(b) and a.key() == b.key()
     for size in (5, 8, 12):
         config = _random_config(rng, size)
-        assert len({_zkey3(_zclear(p.coords)) for p in config}) == size
+        assert len({znormal(p.z) for p in config}) == size
 
 
 def test_equivalences_form_left_coset():
@@ -381,9 +423,7 @@ def test_symmetry_permutations_rejects_non_permutations():
     # singular, so built past the constructor: every image lies in the
     # configuration, but (1:0:0) and (0:1:0) both go to (1:0:0)
     merging = object.__new__(SemiProjMap)
-    merging.matrix = tuple(
-        tuple(gq(x) for x in row) for row in ((1, 1, 0), (0, 0, 0), (0, 0, 1))
-    )
+    merging.z = ((1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0))
     merging.antiholo = False
     assert merging.apply(pt(1, 1, 1)) == pt(2, 0, 1)
     # (1:1:1) goes to (2:1:1), which is not in the configuration

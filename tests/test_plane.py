@@ -61,6 +61,14 @@ def test_point_canonical_form():
     assert str(pt(-2, 0, 2)) == "(1:0:-1)"
 
 
+def _random_scalar(rng):
+    while True:
+        c = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        if c:
+            return c
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(10)
     for _ in range(50):
@@ -68,6 +76,15 @@ def test_canonicalization_idempotent():
         assert ProjPoint(*p.coords) == p
         g = _random_map(rng)
         assert SemiProjMap(g.matrix, g.antiholo) == g
+        # a Q(i) multiple is the same object, with the same output bytes
+        c = _random_scalar(rng)
+        q = ProjPoint(*[c * x for x in p.coords])
+        assert q == p and hash(q) == hash(p) and str(q) == str(p) and q.key() == p.key()
+        h = SemiProjMap([[c * x for x in row] for row in g.matrix], g.antiholo)
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g) and h.key() == g.key()
+        # the leading-1 view is the stored Z[i] tuple divided by its leading entry
+        lead = next(x for x in p.z if x)
+        assert [(x.re * lead, x.im * lead) for x in p.coords] == list(zip(p.z[::2], p.z[1::2]))
     line = line_through(pt(1, 2, 3), pt(0, 1, 1))
     assert Line(*line.dual) == line
     conic = Conic(2, 2, -2, 0, 0, 0)

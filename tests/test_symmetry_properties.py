@@ -9,7 +9,8 @@ from planar_descent.equivalence import ConfigTag, aut_group, classify
 from planar_descent.errors import InvalidInputError
 from planar_descent.families import FamilyParams, family
 from planar_descent.gaussian import GaussianRational
-from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap, det3
+from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
+from test_equivalence import det3
 
 SQUARE16 = PointConfig(
     [ProjPoint(1, 0, 1), ProjPoint(-1, 0, 1), ProjPoint(0, 1, 1),
