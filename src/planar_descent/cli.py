@@ -283,10 +283,15 @@ def _cmd_family(args):
 
 
 def _parse_m_range(text):
-    if ".." in text:
-        low, high = text.split("..", 1)
-        return tuple(range(int(low), int(high) + 1))
-    return (int(text),)
+    low, dots, high = text.partition("..")
+    try:
+        m_values = tuple(range(int(low), int(high if dots else low) + 1))
+    except ValueError:
+        raise InvalidInputError(
+            f"--m-range {text!r} is not an integer or a range like 1..3") from None
+    if not m_values:
+        raise InvalidInputError(f"--m-range {text!r} is empty")
+    return m_values
 
 
 def _cmd_verify_paper(args):

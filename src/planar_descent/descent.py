@@ -16,6 +16,10 @@ restricts to a line-level matrix N with N . conj(N) = mu * I where mu
 must be positive and a Q(i) norm, and conversely any such N lifts.
 Configurations of at most three points always descend, by explicitly
 moving them to a standard real position.
+
+Each decision is a view of one `Symmetries` result (see `equivalence`),
+which classifies S once and enumerates conj(S) -> S and S -> S at most
+once each, on first use; `verify_paper` shares one per configuration.
 """
 
 from __future__ import annotations
@@ -29,17 +33,7 @@ from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
 from .gaussian import GaussianRational, NotANormError, two_squares
-from .equivalence import (
-    MAX_POINTS,
-    ConfigTag,
-    LineReduction,
-    _frame_equivalences,
-    _reduce,
-    _witness_frame,
-    classify,
-    pgl2_equivalences,
-    symmetry_permutations,
-)
+from .equivalence import MAX_POINTS, LineReduction, Symmetries, symmetry_permutations
 from .plane import (
     ZIDENTITY,
     PointConfig,
@@ -133,22 +127,20 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
 
     The holomorphic part is the automorphism group; the antiholomorphic
     part collects (A, anti) for every A carrying conj(S) onto S, and is
-    empty or a coset of the holomorphic part.  Both enumerations are
-    anchored on the witness frame of S (conjugated for conj(S)), so S is
-    classified once.  Closure, inverses and element orders are checked
-    on the point permutations (`symmetry_permutations`); that is exact
-    because S has a frame, so a symmetry is determined by its
-    permutation and its flag.
+    empty or a coset of the holomorphic part.  Closure, inverses and
+    element orders are checked on the point permutations
+    (`symmetry_permutations`); that is exact because S has a frame, so
+    a symmetry is determined by its permutation and its flag.
     """
-    frame = _witness_frame(config, max_points)
-    holos = _frame_equivalences(frame, config, config, max_points)
-    conj_frame = [p.conj() for p in frame]
-    anti_matrices = _frame_equivalences(conj_frame, config.conj(), config, max_points)
-    antis = [SemiProjMap.from_z(m.z, antiholo=True) for m in anti_matrices]
+    return _normalizer(Symmetries(config, max_points))
+
+
+def _normalizer(sym: Symmetries) -> NormalizerGroup:
+    holos, antis = sym.holomorphic, sym.conjugate
     if antis and len(antis) != len(holos):
         raise InternalError("antiholomorphic part is not a coset")
     elements = sorted(holos + antis, key=SemiProjMap.key)
-    pairs = symmetry_permutations(config, elements)
+    pairs = symmetry_permutations(sym.config, elements)
     profile = tuple(sorted(_element_order(p, a) for p, a in pairs))
     structure = _STRUCTURES.get(profile, "other")
     return NormalizerGroup(
@@ -231,27 +223,6 @@ def _certificate_from_involution(config, tau, seed, route, witness):
     )
 
 
-def _conjugate_equivalences(config, max_points):
-    """The route deciding S, with its holomorphic maps carrying conj(S) onto S.
-
-    Returns (route, maps, reduction).  S is classified once: on the
-    "frame" route the maps are the 3x3 equivalences of conj(S) with S,
-    anchored on the conjugate of S's witness frame; on the "line" route
-    they are the 2x2 maps of the reduced line configuration
-    `reduction.config`.  The "tiny" route enumerates nothing (maps is
-    None): it always descends.
-    """
-    cls = classify(config, max_points)
-    if cls.tag is ConfigTag.HAS_FRAME:
-        frame = [p.conj() for p in cls.frame]
-        return "frame", _frame_equivalences(frame, config.conj(), config, max_points), None
-    if cls.tag is ConfigTag.TINY:
-        return "tiny", None, None
-    reduction = _reduce(config, cls)
-    line_config = reduction.config
-    return "line", pgl2_equivalences(line_config.conj(), line_config, max_points), reduction
-
-
 def _no_descent(route, witness=None, refutation=()):
     """A negative certificate; fom_real holds exactly when there is a witness."""
     return DescentCertificate(
@@ -260,15 +231,14 @@ def _no_descent(route, witness=None, refutation=()):
     )
 
 
-def _descend_frame(config, anti_matrices, seed):
-    antis = [SemiProjMap.from_z(m.z, antiholo=True) for m in anti_matrices]
-    if not antis:
-        return _no_descent("frame")
-    witness = antis[0]
-    for tau in antis:
-        if (tau * tau).is_identity():
-            return _certificate_from_involution(config, tau, seed, "frame", witness)
-    return _no_descent("frame", witness, tuple((tau, tau * tau) for tau in antis))
+def _descend_frame(sym, witness, seed):
+    refutation = []
+    for tau in sym.conjugate:
+        square = tau * tau
+        if square.is_identity():
+            return _certificate_from_involution(sym.config, tau, seed, "frame", witness)
+        refutation.append((tau, square))
+    return _no_descent("frame", witness, tuple(refutation))
 
 
 def _complete_to_basis(cols, unit):
@@ -356,11 +326,8 @@ def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
     return SemiProjMap.from_z(zmatmul(zmatmul(h, block), zadjugate3(zconj(h))), antiholo=True)
 
 
-def _descend_line(config, reduction, candidates, seed):
-    if not candidates:
-        return _no_descent("line")
-    witness = _lift(reduction, candidates[0])
-
+def _descend_line(sym, witness, seed):
+    config, reduction, candidates = sym.config, sym.reduction, sym.conjugate
     chosen = None
     positive_non_norm = False
     for n in candidates:
@@ -395,11 +362,8 @@ def _descend_line(config, reduction, candidates, seed):
             "descent holds over the reals, but every real model needs "
             "coordinates outside Q(i)"
         )
-    refutation = []
-    for n in candidates:
-        lifted = _lift(reduction, n)
-        refutation.append((lifted, lifted * lifted))
-    return _no_descent("line", witness, tuple(refutation))
+    lifts = [witness] + [_lift(reduction, n) for n in candidates[1:]]
+    return _no_descent("line", witness, tuple((tau, tau * tau) for tau in lifts))
 
 
 # --- public decision operations ---------------------------------------------------
@@ -412,25 +376,33 @@ def fom_real(config: PointConfig, max_points: int = MAX_POINTS):
     configurations with a frame, the lift of the least line-level map on
     the line route.  Its matrix carries conj(S) onto S.
     """
-    route, maps, reduction = _conjugate_equivalences(config, max_points)
-    if route == "tiny":
-        return True, _descend_tiny(config).fom_witness
-    if not maps:
+    return _fom_real(Symmetries(config, max_points))
+
+
+def _fom_real(sym: Symmetries):
+    if sym.route == "tiny":
+        return True, _descend_tiny(sym.config).fom_witness
+    if not sym.conjugate:
         return False, None
-    if route == "line":
-        return True, _lift(reduction, maps[0])
-    return True, SemiProjMap.from_z(maps[0].z, antiholo=True)
+    if sym.route == "line":
+        return True, _lift(sym.reduction, sym.conjugate[0])
+    return True, sym.conjugate[0]
 
 
 def descends_real(config: PointConfig, seed: int = 0,
                   max_points: int = MAX_POINTS) -> DescentCertificate:
     """Decide descent to the real projective plane, with a certificate."""
-    route, maps, reduction = _conjugate_equivalences(config, max_points)
-    if route == "tiny":
-        return _descend_tiny(config)
-    if route == "line":
-        return _descend_line(config, reduction, maps, seed)
-    return _descend_frame(config, maps, seed)
+    return _descends_real(Symmetries(config, max_points), seed)
+
+
+def _descends_real(sym: Symmetries, seed: int) -> DescentCertificate:
+    if sym.route == "tiny":
+        return _descend_tiny(sym.config)
+    fom, witness = _fom_real(sym)
+    if not fom:
+        return _no_descent(sym.route)
+    descend = _descend_line if sym.route == "line" else _descend_frame
+    return descend(sym, witness, seed)
 
 
 def real_model_check(config: PointConfig, certificate: DescentCertificate):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError
@@ -140,23 +141,24 @@ _FRAME_ORDERINGS = {
 def _keyed_equivalences(source_frame, source, target):
     """Every holomorphic g with g(source) = target, as SemiProjMaps sorted by key.
 
-    The arguments are stored Z[i] vectors (`ProjPoint.z`) of one dimension d:
-    equally many distinct source and target points, and d + 1 source
-    points forming a frame.  Orderings sharing a source key set share one
+    The arguments are point sequences of one dimension d: equally many
+    distinct source and target points, and d + 1 source points forming a
+    frame.  Orderings sharing a source key set share one
     entry of `by_keys`; each unordered target frame is keyed once (see the
     module docstring), and a target point whose key lies in no source key
     set rejects the frame at once.
     """
     dim = len(source_frame) - 1
     frame_matrix, matvec, key, adjugate = _KERNELS[dim]
-    frame_adj = adjugate(frame_matrix(*source_frame))
-    source_coords = [matvec(frame_adj, v) for v in source]
+    frame_adj = adjugate(frame_matrix(*[p.z for p in source_frame]))
+    source_coords = [matvec(frame_adj, p.z) for p in source]
     by_keys = {}
     for p_sigma in _FRAME_ORDERINGS[dim]:
         keys = frozenset(key(matvec(p_sigma, v)) for v in source_coords)
         by_keys.setdefault(keys, []).append(zmatmul(p_sigma, frame_adj))
 
     source_keys = frozenset().union(*by_keys)
+    target = [p.z for p in target]
     found = []
     for frame in itertools.combinations(target, dim + 1):
         z_frame = frame_matrix(*frame)
@@ -190,25 +192,7 @@ def equivalences(source: PointConfig, target: PointConfig,
     otherwise); the lexicographically least one from `classify` anchors
     the keyed enumeration.  Different sizes yield the empty list.
     """
-    return _frame_equivalences(_witness_frame(source, max_points), source, target, max_points)
-
-
-def _witness_frame(config, max_points):
-    """The frame `classify` picks in the configuration; NeedsReductionError if none."""
-    cls = classify(config, max_points)
-    if cls.tag is not ConfigTag.HAS_FRAME:
-        raise NeedsReductionError(
-            f"{cls.tag.value} configuration: no frame to anchor the search"
-        )
-    return cls.frame
-
-
-def _frame_equivalences(frame, source, target, max_points):
-    """`equivalences` anchored on a given frame of the source, so S is classified once.
-
-    Any frame of the source gives the same sorted maps; callers pass the
-    witness frame of S, or its conjugate for conj(S).
-    """
+    frame = Symmetries(source, max_points).frame
     if len(target.points[0].z) != 6:
         raise InvalidInputError("equivalences needs target points of the plane")
     if len(target) > max_points:
@@ -217,9 +201,7 @@ def _frame_equivalences(frame, source, target, max_points):
         )
     if len(source) != len(target):
         return []
-    return _keyed_equivalences(
-        [p.z for p in frame], [p.z for p in source.points], [p.z for p in target.points]
-    )
+    return _keyed_equivalences(frame, source.points, target.points)
 
 
 def symmetry_permutations(config: PointConfig, maps):
@@ -258,15 +240,66 @@ def symmetry_permutations(config: PointConfig, maps):
     return pairs
 
 
-def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
-    """The automorphism group of the configuration, verified to be a group.
+class Symmetries:
+    """The symmetries of one configuration S, each enumerated once, on first use.
 
-    Identity, inverses and closure are checked on the point permutations
-    (`symmetry_permutations`), exact because the configuration has a frame.
+    S is classified on construction; `route` is "frame" (a general-position
+    4-subset, the witness frame, anchors the enumerations), "line" (S is
+    collinear or a line plus a point, read on its line as `reduction`) or
+    "tiny" (at most three points).  Reading only `conjugate` never
+    enumerates S -> S.
     """
-    elements = equivalences(config, config, max_points)
-    symmetry_permutations(config, elements)
-    return elements
+
+    def __init__(self, config: PointConfig, max_points: int = MAX_POINTS):
+        self.config = config
+        self.max_points = max_points
+        self.cls = classify(config, max_points)
+        self.route = {ConfigTag.HAS_FRAME: "frame", ConfigTag.TINY: "tiny"}.get(
+            self.cls.tag, "line")
+        self.reduction = _reduce(config, self.cls) if self.route == "line" else None
+
+    @property
+    def frame(self):
+        """The witness frame of S; NeedsReductionError off the frame route."""
+        if self.route != "frame":
+            raise NeedsReductionError(
+                f"{self.cls.tag.value} configuration: no frame to anchor the search"
+            )
+        return self.cls.frame
+
+    @cached_property
+    def conjugate(self):
+        """The maps carrying conj(S) onto S, sorted by key; None on the tiny route.
+
+        On the frame route they are the antiholomorphic symmetries of S
+        (3x3, anchored on the conjugate of the witness frame); on the line
+        route the holomorphic 2x2 maps of conj(reduction.config) onto
+        reduction.config.
+        """
+        if self.route == "tiny":
+            return None
+        if self.route == "line":
+            line = self.reduction.config
+            return pgl2_equivalences(line.conj(), line, self.max_points)
+        frame = [p.conj() for p in self.frame]
+        maps = _keyed_equivalences(frame, self.config.conj().points, self.config.points)
+        return [SemiProjMap.from_z(m.z, antiholo=True) for m in maps]
+
+    @cached_property
+    def holomorphic(self):
+        """Aut(S) sorted by key, verified to be a group on the point permutations.
+
+        `symmetry_permutations` is exact because S has a frame; off the
+        frame route this raises NeedsReductionError.
+        """
+        maps = _keyed_equivalences(self.frame, self.config.points, self.config.points)
+        symmetry_permutations(self.config, maps)
+        return maps
+
+
+def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
+    """The automorphism group of the configuration, verified (`Symmetries.holomorphic`)."""
+    return Symmetries(config, max_points).holomorphic
 
 
 # --- the projective line --------------------------------------------------------
@@ -293,8 +326,7 @@ def pgl2_equivalences(source: PointConfig, target: PointConfig,
         )
     if len(source) != len(target):
         return []
-    source_ints = [p.z for p in source.points]
-    return _keyed_equivalences(source_ints[:3], source_ints, [p.z for p in target.points])
+    return _keyed_equivalences(source.points[:3], source.points, target.points)
 
 
 # --- reduction to the line -------------------------------------------------------

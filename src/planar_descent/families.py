@@ -31,12 +31,13 @@ from .errors import InvalidInputError
 from .gaussian import GaussianRational, gq
 from .descent import (
     DescentCertificate,
+    _descends_real,
+    _fom_real,
+    _normalizer,
     descends_real,
-    fom_real,
-    normalizer,
     real_model_check,
 )
-from .equivalence import NeedsReductionError, aut_group, equivalences
+from .equivalence import NeedsReductionError, Symmetries, equivalences
 from .plane import PointConfig, ProjPoint, SemiProjMap
 
 
@@ -119,16 +120,18 @@ class GenericityReport:
 
 def certify_generic(params: FamilyParams) -> GenericityReport:
     """Certify per instance what is generically true: Aut = {I, diag(-1,-1,1)}."""
+    return _certify_generic(params)[0]
+
+
+def _certify_generic(params: FamilyParams):
+    """`certify_generic` with the `Symmetries` it read, keyed "S" and "Sprime"."""
+    symmetries = {
+        v: Symmetries(family(FamilyParams(params.m, params.a, v))) for v in ("S", "Sprime")
+    }
     expected = {SemiProjMap.identity().key(), M_MATRIX.key()}
-    orders = {}
-    generic = True
-    for variant in ("S", "Sprime"):
-        config = family(FamilyParams(params.m, params.a, variant))
-        auts = aut_group(config)
-        orders[variant] = len(auts)
-        if {g.key() for g in auts} != expected:
-            generic = False
-    return GenericityReport(generic, orders["S"], orders["Sprime"])
+    auts = {v: sym.holomorphic for v, sym in symmetries.items()}
+    generic = all({g.key() for g in group} == expected for group in auts.values())
+    return GenericityReport(generic, len(auts["S"]), len(auts["Sprime"])), symmetries
 
 
 def canonical_two_lines(config: PointConfig) -> Optional[SemiProjMap]:
@@ -283,18 +286,17 @@ class PaperReport:
     )
 
 
-def _check_family_case(params: FamilyParams, variant, seed, generic_report):
-    config = family(FamilyParams(params.m, params.a, variant))
+def _check_family_case(m, variant, sym: Symmetries, seed):
     failures = []
-    fom, witness = fom_real(config)
+    fom, witness = _fom_real(sym)
     if not fom:
         failures.append("conj(S) is not equivalent to S")
-    group = normalizer(config)
+    group = _normalizer(sym)
     if group.structure != "C4":
         failures.append(f"normalizer structure {group.structure}, expected C4")
     if group.order_profile != (1, 2, 4, 4):
         failures.append(f"order profile {group.order_profile}, expected (1, 2, 4, 4)")
-    certificate = descends_real(config, seed)
+    certificate = _descends_real(sym, seed)
     if certificate.descends:
         failures.append("configuration unexpectedly descends")
     if len(certificate.refutation) != len(group.holomorphic):
@@ -304,10 +306,10 @@ def _check_family_case(params: FamilyParams, variant, seed, generic_report):
             failures.append("a coset element squares to something other than M")
             break
     return FamilyCase(
-        m=params.m,
+        m=m,
         variant=variant,
-        n=len(config),
-        generic=generic_report.generic,
+        n=len(sym.config),
+        generic=True,
         fom_real=fom,
         fom_witness=witness,
         normalizer_structure=group.structure,
@@ -326,12 +328,15 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
 
     For each m, take the first m pool entries and check both variants:
     conj-equivalence holds with a witness, the symmetry group is C4, and
-    descent fails with a complete refutation.  Non-generic parameter
-    choices are flagged and skipped rather than failed.  Then the
-    positive battery: seeded random twists of conjugation-stable
-    configurations of each small size, all of which must descend to a
-    verified real model.
+    descent fails with a complete refutation.  Each configuration gets
+    one `Symmetries` result, so genericity and the three checks share
+    two enumerations.  Non-generic parameter choices are flagged and
+    skipped rather than failed.  Then the positive battery: seeded
+    random twists of conjugation-stable configurations of each small
+    size, all of which must descend to a verified real model.
     """
+    if battery_samples < 0:
+        raise InvalidParameterError("battery samples must not be negative")
     pool = tuple(gq(x) for x in pool)
     cases = []
     for m in m_values:
@@ -339,19 +344,17 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
             raise InvalidParameterError(
                 f"m = {m} needs more parameters than the pool provides"
             )
-        params = FamilyParams(m, pool[:m])
-        generic_report = certify_generic(params)
-        for variant in ("S", "Sprime"):
-            if not generic_report.generic:
-                config = family(FamilyParams(m, pool[:m], variant))
+        report, symmetries = _certify_generic(FamilyParams(m, pool[:m]))
+        for variant, sym in symmetries.items():
+            if not report.generic:
                 cases.append(FamilyCase(
-                    m=m, variant=variant, n=len(config), generic=False,
+                    m=m, variant=variant, n=len(sym.config), generic=False,
                     fom_real=False, fom_witness=None, normalizer_structure="",
                     normalizer_profile=(), certificate=None,
                     passed=True, skipped=True, failures=(),
                 ))
                 continue
-            cases.append(_check_family_case(params, variant, seed, generic_report))
+            cases.append(_check_family_case(m, variant, sym, seed))
 
     battery = []
     for size in battery_sizes:

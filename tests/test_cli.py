@@ -193,6 +193,23 @@ def test_verify_paper_small_and_deterministic(capsys, tmp_path):
     assert report["family_cases"][0]["normalizer_structure"] == "C4"
 
 
+@pytest.mark.parametrize("args", [
+    ["--m-range", "x"], ["--m-range", "1..y"], ["--m-range", "3..1"], ["--samples", "-1"],
+])
+def test_verify_paper_argument_errors_are_typed(capsys, args):
+    code, out, err = run_cli(["verify-paper"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_paper_accepts_zero_samples(capsys):
+    code, out, _ = run_cli(["verify-paper", "--m-range", "1", "--samples", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PLANAR_DESCENT_SEED", "11")
     infile = write_config(tmp_path / "stable.json",

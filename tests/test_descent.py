@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import planar_descent.descent as descent_module
 import planar_descent.equivalence as equivalence_module
 from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError, InvalidInputError
@@ -145,13 +144,30 @@ def test_normalizer_orders_and_closure_match_matrix_oracle():
 def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
     # the fault hits the holomorphic and the antiholomorphic enumeration
     # alike, so the coset-size check passes and the group checks must fire
-    def faulty(frame, source, target, max_points):
-        return drop_involution_or_swap(
-            equivalence_module._frame_equivalences(frame, source, target, max_points), fault
-        )
+    enumerate_maps = equivalence_module._keyed_equivalences
 
-    monkeypatch.setattr(descent_module, "_frame_equivalences", faulty)
+    def faulty(*args):
+        return drop_involution_or_swap(enumerate_maps(*args), fault)
+
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
+        normalizer(STANDARD_FRAME)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("drop", "not a coset"), ("swap", "does not permute"),
+])
+def test_normalizer_rejects_a_faulty_conjugate_enumeration(monkeypatch, fault, message):
+    # only conj(S) -> S is faulty, so Aut(S) passes its own check and the
+    # coset-size check or the check of the whole group must fire
+    enumerate_maps = equivalence_module._keyed_equivalences
+
+    def faulty(source_frame, source, target):
+        maps = enumerate_maps(source_frame, source, target)
+        return maps if source is target else drop_involution_or_swap(maps, fault)
+
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
+    with pytest.raises(InternalError, match=message):
         normalizer(STANDARD_FRAME)
 
 
@@ -559,24 +575,36 @@ def test_route_certificates_are_pinned(route, name):
     _check_pinned(route, name)
 
 
-# --- one classification per public decision ------------------------------------
+# --- one classification and few enumerations per public decision ---------------
 
 
 @pytest.mark.parametrize("route, name", [
     ("tiny", "three_points"), ("line", "line_plus_point_descends"), ("frame", "refuted"),
 ])
 def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
-    calls = []
+    # each enumeration is recorded as whether it ran S -> S (source == target)
+    classified, enumerated = [], []
+    enumerate_maps = equivalence_module._keyed_equivalences
 
-    def counting(config, *args):
-        calls.append(config)
+    def counting_classify(config, *args):
+        classified.append(config)
         return classify(config, *args)
 
-    for module in (descent_module, equivalence_module):
-        monkeypatch.setattr(module, "classify", counting)
+    def counting_enumeration(source_frame, source, target):
+        enumerated.append(source == target)
+        return enumerate_maps(source_frame, source, target)
+
+    monkeypatch.setattr(equivalence_module, "classify", counting_classify)
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting_enumeration)
     config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
-    decisions = [descends_real, fom_real] + ([normalizer] if route == "frame" else [])
-    for decide in decisions:
-        calls.clear()
+    assert config.conj() != config
+    conjugate_only = [] if route == "tiny" else [False]
+    decisions = [(descends_real, conjugate_only), (fom_real, conjugate_only)]
+    if route == "frame":
+        decisions.append((normalizer, [True, False]))
+    for decide, expected in decisions:
+        classified.clear()
+        enumerated.clear()
         decide(config)
-        assert calls == [config], decide.__name__
+        assert classified == [config], decide.__name__
+        assert enumerated == expected, decide.__name__

@@ -474,10 +474,12 @@ FAULT_MESSAGES = {"drop": "not closed under composition", "swap": "does not perm
 
 @pytest.mark.parametrize("fault", sorted(FAULT_MESSAGES))
 def test_aut_group_rejects_a_faulty_enumeration(monkeypatch, fault):
-    def faulty(source, target, max_points):
-        return drop_involution_or_swap(equivalences(source, target, max_points), fault)
+    enumerate_maps = equivalence_module._keyed_equivalences
 
-    monkeypatch.setattr(equivalence_module, "equivalences", faulty)
+    def faulty(*args):
+        return drop_involution_or_swap(enumerate_maps(*args), fault)
+
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
         aut_group(FAMILY_F)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import planar_descent.equivalence as equivalence_module
 from planar_descent.gaussian import gq
 from planar_descent.families import (
     CANONICAL_FIVE,
@@ -138,6 +139,22 @@ def test_verify_paper_skips_non_generic():
                           battery_samples=0)
     assert report.passed
     assert all(case.skipped and not case.generic for case in report.cases)
+
+
+def test_verify_paper_enumerates_twice_per_family_case(monkeypatch):
+    # S and S' each: Aut(S) once for genericity and the normalizer, and
+    # conj(S) -> S once for the fom verdict, the normalizer and the descent
+    calls = []
+    enumerate_maps = equivalence_module._keyed_equivalences
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_maps(*args)
+
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting)
+    report = verify_paper(m_values=(1,), battery_samples=0)
+    assert report.passed and len(report.cases) == 2
+    assert len(calls) == 4
 
 
 def test_verify_paper_empty_m_values():
