@@ -17,9 +17,10 @@ must be positive and a Q(i) norm, and conversely any such N lifts.
 Configurations of at most three points always descend, by explicitly
 moving them to a standard real position.
 
-Each decision is a view of one `Symmetries` result (see `equivalence`),
-which classifies S once and enumerates conj(S) -> S and S -> S at most
-once each, on first use; `verify_paper` shares one per configuration.
+Each decision is a view of the `Symmetries` result kept on its
+configuration object (`Symmetries.of`, see `equivalence`), which
+classifies S once and enumerates conj(S) -> S and S -> S at most once
+each, on first use; all decisions asked of one object share it.
 """
 
 from __future__ import annotations
@@ -132,21 +133,18 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
     (`symmetry_permutations`); that is exact because S has a frame, so
     a symmetry is determined by its permutation and its flag.
     """
-    return _normalizer(Symmetries(config, max_points))
-
-
-def _normalizer(sym: Symmetries) -> NormalizerGroup:
+    sym = Symmetries.of(config, max_points)
     holos, antis = sym.holomorphic, sym.conjugate
     if antis and len(antis) != len(holos):
         raise InternalError("antiholomorphic part is not a coset")
     elements = sorted(holos + antis, key=SemiProjMap.key)
-    pairs = symmetry_permutations(sym.config, elements)
+    pairs = symmetry_permutations(config, elements)
     profile = tuple(sorted(_element_order(p, a) for p, a in pairs))
     structure = _STRUCTURES.get(profile, "other")
     return NormalizerGroup(
         elements=tuple(elements),
-        holomorphic=tuple(holos),
-        antiholomorphic=tuple(antis),
+        holomorphic=holos,
+        antiholomorphic=antis,
         order=len(elements),
         order_profile=profile,
         structure=structure,
@@ -231,12 +229,12 @@ def _no_descent(route, witness=None, refutation=()):
     )
 
 
-def _descend_frame(sym, witness, seed):
+def _descend_frame(config, sym, witness, seed):
     refutation = []
     for tau in sym.conjugate:
         square = tau * tau
         if square.is_identity():
-            return _certificate_from_involution(sym.config, tau, seed, "frame", witness)
+            return _certificate_from_involution(config, tau, seed, "frame", witness)
         refutation.append((tau, square))
     return _no_descent("frame", witness, tuple(refutation))
 
@@ -326,8 +324,8 @@ def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
     return SemiProjMap.from_z(zmatmul(zmatmul(h, block), zadjugate3(zconj(h))), antiholo=True)
 
 
-def _descend_line(sym, witness, seed):
-    config, reduction, candidates = sym.config, sym.reduction, sym.conjugate
+def _descend_line(config, sym, witness, seed):
+    reduction, candidates = sym.reduction, sym.conjugate
     chosen = None
     positive_non_norm = False
     for n in candidates:
@@ -376,33 +374,33 @@ def fom_real(config: PointConfig, max_points: int = MAX_POINTS):
     configurations with a frame, the lift of the least line-level map on
     the line route.  Its matrix carries conj(S) onto S.
     """
-    return _fom_real(Symmetries(config, max_points))
-
-
-def _fom_real(sym: Symmetries):
+    sym = Symmetries.of(config, max_points)
     if sym.route == "tiny":
-        return True, _descend_tiny(sym.config).fom_witness
+        return True, _descend_tiny(config).fom_witness
+    witness = _fom_witness(sym)
+    return witness is not None, witness
+
+
+def _fom_witness(sym: Symmetries) -> Optional[SemiProjMap]:
+    """`fom_real`'s witness off the tiny route, or None when conj(S) is not equivalent."""
     if not sym.conjugate:
-        return False, None
+        return None
     if sym.route == "line":
-        return True, _lift(sym.reduction, sym.conjugate[0])
-    return True, sym.conjugate[0]
+        return _lift(sym.reduction, sym.conjugate[0])
+    return sym.conjugate[0]
 
 
 def descends_real(config: PointConfig, seed: int = 0,
                   max_points: int = MAX_POINTS) -> DescentCertificate:
     """Decide descent to the real projective plane, with a certificate."""
-    return _descends_real(Symmetries(config, max_points), seed)
-
-
-def _descends_real(sym: Symmetries, seed: int) -> DescentCertificate:
+    sym = Symmetries.of(config, max_points)
     if sym.route == "tiny":
-        return _descend_tiny(sym.config)
-    fom, witness = _fom_real(sym)
-    if not fom:
+        return _descend_tiny(config)
+    witness = _fom_witness(sym)
+    if witness is None:
         return _no_descent(sym.route)
     descend = _descend_line if sym.route == "line" else _descend_frame
-    return descend(sym, witness, seed)
+    return descend(config, sym, witness, seed)
 
 
 def real_model_check(config: PointConfig, certificate: DescentCertificate):

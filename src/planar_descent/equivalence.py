@@ -6,12 +6,24 @@ projective frame (d + 1 points in general position in dimension d: four
 in the plane, three distinct points on the line), so with one frame of
 the source fixed, every ordered frame of the target is a candidate.
 Candidates are matched by frame coordinates (geometric hashing with exact
-keys): the source points are written in the fixed frame once, each
-unordered target frame Q contributes the key set of the target points
-written in the frame Q, and an ordering of Q is accepted exactly when its
-permutation of the standard frame carries the source key set onto that
-of Q.  The search is exact and complete, and one keyed enumeration
-serves both dimensions.
+keys): each ordering of the fixed source frame gives the key set of the
+source points written in it, each unordered target frame Q the key set
+of the target points written in Q, and each ordering whose key set is
+Q's gives a map.  The search is exact and complete, and one keyed
+enumeration serves both dimensions.
+
+Frame coordinates come from one table of brackets, the d x d
+determinants [i j k] (on the line [i j]) of the points, each computed
+once.  For an ordered frame f_1..f_d, f_{d+1}, let w_k be the bracket of
+f_1..f_d with f_k replaced by f_{d+1}.  Coordinate k of a point t is
+(prod over j != k of w_j) * [f_1..f_d with f_k replaced by t]: this is
+adj(M) . t for the frame matrix M with columns w_k f_k, since by Cramer's
+rule entry k of M^-1 . t is [.. t at k ..] / (w_k [f_1..f_d]) and
+det M = [f_1..f_d] * prod w_j.  A key is the normal form of that vector.
+The table stores brackets with t first, [t, f_{k+1}, .., f_{k+d-1}]
+(indices mod d).  In the plane that is a cyclic shift; on the line it
+negates every coordinate and column 2 of both frame matrices alike, which
+changes no key and no map.  conj(S)'s table is the entrywise conjugate.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
@@ -27,8 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, reduce
+from typing import NamedTuple, Optional
 
 from .errors import InternalError, InvalidInputError
 from .plane import (
@@ -42,12 +54,14 @@ from .plane import (
     zadjugate3,
     zcolumns,
     zconj,
-    zframe_matrix2,
+    zcross,
     zframe_matrix3,
     zmatmul,
     zmatvec,
     zmatvec3,
+    zmul,
     znormal,
+    zscale,
 )
 
 MAX_POINTS = 20
@@ -86,6 +100,13 @@ class ConfigClass:
     residue: Optional[ProjPoint] = None
 
 
+def _guard(n, max_points):
+    if n > max_points:
+        raise TooManyPointsError(
+            f"{n} points exceed the enumeration guard of {max_points}"
+        )
+
+
 def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     """Sort a configuration into one of four mutually exclusive classes.
 
@@ -95,10 +116,7 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     it (LinePlusPoint); no further case exists.
     """
     n = len(config)
-    if n > max_points:
-        raise TooManyPointsError(
-            f"{n} points exceed the enumeration guard of {max_points}"
-        )
+    _guard(n, max_points)
     if len(config.points[0].z) != 6:
         raise InvalidInputError("classification needs points of the plane")
     if n <= 3:
@@ -118,62 +136,111 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     raise InternalError("frameless configuration is neither collinear nor line-plus-point")
 
 
-# dimension -> (frame matrix, matvec, normal form, adjugate)
-_KERNELS = {
-    2: (zframe_matrix2, zmatvec, znormal, zadjugate2),
-    3: (zframe_matrix3, zmatvec3, znormal, zadjugate3),
-}
+class _Brackets(NamedTuple):
+    """The points' Z[i] vectors, and rows[f][t] = [t, *f] for each ordered (d-1)-tuple f."""
 
-# P_sigma for the orderings sigma of the standard frame, (1:0), (0:1),
-# (1:1) on the line (6) and (1:0:0), (0:1:0), (0:0:1), (1:1:1) in the
-# plane (24): Z(Q) . P_sigma is, up to a scalar, the frame matrix of Q
-# taken in the order sigma.
-_STANDARD_FRAMES = {
-    2: ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0)),
-    3: ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0)),
-}
-_FRAME_ORDERINGS = {
-    d: tuple(_KERNELS[d][0](*perm) for perm in itertools.permutations(frame))
-    for d, frame in _STANDARD_FRAMES.items()
-}
+    vectors: tuple
+    rows: dict
+
+    def conj(self) -> "_Brackets":
+        """The table of the conjugate points, in the same index order."""
+        rows = {f: [(re, -im) for re, im in row] for f, row in self.rows.items()}
+        return _Brackets(zconj(self.vectors), rows)
 
 
-def _keyed_equivalences(source_frame, source, target):
-    """Every holomorphic g with g(source) = target, as SemiProjMaps sorted by key.
+# whether each ordering of a d-subset, in itertools.permutations order, is even
+_EVEN = {2: (True, False), 3: (True, False, False, True, True, False)}
 
-    The arguments are point sequences of one dimension d: equally many
-    distinct source and target points, and d + 1 source points forming a
-    frame.  Orderings sharing a source key set share one
-    entry of `by_keys`; each unordered target frame is keyed once (see the
-    module docstring), and a target point whose key lies in no source key
-    set rejects the frame at once.
+
+def _brackets(points) -> _Brackets:
+    """Every d x d determinant of the points, each computed once.
+
+    [i, *rest] is point i dotted with the cross product of the (d - 1)
+    points rest (on the line, (b, -a) for the point (a:b)); it is taken
+    for i below rest and written, with its sign, under every ordering.
     """
-    dim = len(source_frame) - 1
-    frame_matrix, matvec, key, adjugate = _KERNELS[dim]
-    frame_adj = adjugate(frame_matrix(*[p.z for p in source_frame]))
-    source_coords = [matvec(frame_adj, p.z) for p in source]
+    vectors = tuple(p.z for p in points)
+    n, d = len(vectors), len(vectors[0]) // 2
+    rows = {f: [(0, 0)] * n for f in itertools.permutations(range(n), d - 1)}
+    for rest in itertools.combinations(range(n), d - 1):
+        if d == 3:
+            cross = zcross(vectors[rest[0]], vectors[rest[1]])
+        else:
+            ar, ai, br, bi = vectors[rest[0]]
+            cross = (br, bi, -ar, -ai)
+        for i in range(rest[0]):
+            det = zmatvec((cross,), vectors[i])
+            negated = (-det[0], -det[1])
+            for (t, *f), even in zip(itertools.permutations((i,) + rest), _EVEN[d]):
+                rows[tuple(f)][t] = det if even else negated
+    return _Brackets(vectors, rows)
+
+
+def _frame_coordinates(rows, frame):
+    """(slots, u, scales) of an ordered frame (module docstring), or None if no frame.
+
+    slots[k] is the row of (f_{k+1}, ..., f_{k+d-1}), indices mod d, and
+    u[k] = slots[k][f_{d+1}]; coordinate k of t is scales[k] * slots[k][t].
+    """
+    base, last = frame[:-1], frame[-1]
+    d = len(base)
+    slots = [rows[base[k + 1:] + base[:k]] for k in range(d)]
+    u = [slot[last] for slot in slots]
+    if slots[0][base[0]] == (0, 0) or (0, 0) in u:
+        return None
+    return slots, u, [reduce(zmul, u[:k] + u[k + 1:]) for k in range(d)]
+
+
+def _key(slots, scales, t):
+    """The exact key of point t: the normal form of its frame coordinates."""
+    v = []
+    for (sr, si), slot in zip(scales, slots):
+        xr, xi = slot[t]
+        v += (sr * xr - si * xi, sr * xi + si * xr)
+    return znormal(v)
+
+
+def _frame_matrix(vectors, frame, u):
+    return zcolumns([zscale(x, vectors[f]) for x, f in zip(u, frame)])
+
+
+def _keyed_equivalences(source, anchor, target):
+    """Every g with g(source) = target, as SemiProjMaps sorted by key.
+
+    source and target are bracket tables of equally many distinct points
+    of one dimension d; anchor indexes d + 1 source points forming a frame.
+    Frame points have the standard keys in every frame, so only the other
+    points are keyed, and a key in no source key set rejects a frame.
+    """
+    adjugate = zadjugate2 if len(anchor) == 3 else zadjugate3
     by_keys = {}
-    for p_sigma in _FRAME_ORDERINGS[dim]:
-        keys = frozenset(key(matvec(p_sigma, v)) for v in source_coords)
-        by_keys.setdefault(keys, []).append(zmatmul(p_sigma, frame_adj))
+    others = [t for t in range(len(source.vectors)) if t not in anchor]
+    for frame in itertools.permutations(anchor):
+        slots, u, scales = _frame_coordinates(source.rows, frame)
+        keys = frozenset(_key(slots, scales, t) for t in others)
+        by_keys.setdefault(keys, []).append((frame, u))
 
     source_keys = frozenset().union(*by_keys)
-    target = [p.z for p in target]
     found = []
-    for frame in itertools.combinations(target, dim + 1):
-        z_frame = frame_matrix(*frame)
-        if z_frame is None:
+    for frame in itertools.combinations(range(len(target.vectors)), len(anchor)):
+        coordinates = _frame_coordinates(target.rows, frame)
+        if coordinates is None:
             continue
-        z_frame_adj = adjugate(z_frame)
+        slots, u, scales = coordinates
         frame_keys = set()
-        for t in target:
-            k = key(matvec(z_frame_adj, t))
-            if k not in source_keys:
-                break
-            frame_keys.add(k)
+        for t in range(len(target.vectors)):
+            if t not in frame:
+                k = _key(slots, scales, t)
+                if k not in source_keys:
+                    break
+                frame_keys.add(k)
         else:
-            for g in by_keys.get(frozenset(frame_keys), ()):
-                found.append(zmatmul(z_frame, g))
+            matches = by_keys.get(frozenset(frame_keys))
+            if matches:
+                z_frame = _frame_matrix(target.vectors, frame, u)
+                for source_frame, source_u in matches:
+                    z_source = _frame_matrix(source.vectors, source_frame, source_u)
+                    found.append(zmatmul(z_frame, adjugate(z_source)))
 
     maps = sorted((SemiProjMap.from_z(g) for g in found), key=SemiProjMap.key)
     if len(set(maps)) != len(maps):
@@ -192,16 +259,14 @@ def equivalences(source: PointConfig, target: PointConfig,
     otherwise); the lexicographically least one from `classify` anchors
     the keyed enumeration.  Different sizes yield the empty list.
     """
-    frame = Symmetries(source, max_points).frame
+    sym = Symmetries.of(source, max_points)
+    anchor = sym.anchor
     if len(target.points[0].z) != 6:
         raise InvalidInputError("equivalences needs target points of the plane")
-    if len(target) > max_points:
-        raise TooManyPointsError(
-            f"{len(target)} points exceed the enumeration guard of {max_points}"
-        )
+    _guard(len(target), max_points)
     if len(source) != len(target):
         return []
-    return _keyed_equivalences(frame, source.points, target.points)
+    return _keyed_equivalences(sym.brackets, anchor, _brackets(target.points))
 
 
 def symmetry_permutations(config: PointConfig, maps):
@@ -215,7 +280,11 @@ def symmetry_permutations(config: PointConfig, maps):
     every point is the identity, so the pair determines the symmetry.
     The flag is needed because conjugation fixes a real set pointwise.
     """
-    points = [p.z for p in config.points]
+    return _permutation_pairs([p.z for p in config.points], maps)
+
+
+def _permutation_pairs(points, maps):
+    """`symmetry_permutations` on the points' Z[i] vectors."""
     conj_points = [zconj(v) for v in points]
     index = {v: k for k, v in enumerate(points)}
     n = len(points)
@@ -244,46 +313,61 @@ class Symmetries:
     """The symmetries of one configuration S, each enumerated once, on first use.
 
     S is classified on construction; `route` is "frame" (a general-position
-    4-subset, the witness frame, anchors the enumerations), "line" (S is
-    collinear or a line plus a point, read on its line as `reduction`) or
-    "tiny" (at most three points).  Reading only `conjugate` never
-    enumerates S -> S.
+    4-subset, the witness frame, anchors the enumerations on the bracket
+    table of S), "line" (S is collinear or a line plus a point, read on
+    its line as `reduction`) or "tiny" (at most three points).  Reading
+    only `conjugate` never enumerates S -> S.
+
+    `Symmetries.of(config)` is shared by every decision on one config
+    object and lives as long as that object; there is no module-level
+    cache.  Each decision re-checks its own point guard, and the groups
+    are tuples.  It keeps no reference to the config, so no cycle forms.
     """
 
     def __init__(self, config: PointConfig, max_points: int = MAX_POINTS):
-        self.config = config
         self.max_points = max_points
         self.cls = classify(config, max_points)
         self.route = {ConfigTag.HAS_FRAME: "frame", ConfigTag.TINY: "tiny"}.get(
             self.cls.tag, "line")
         self.reduction = _reduce(config, self.cls) if self.route == "line" else None
+        self.brackets = _brackets(config.points) if self.route == "frame" else None
+
+    @classmethod
+    def of(cls, config: PointConfig, max_points: int = MAX_POINTS) -> "Symmetries":
+        """The Symmetries kept on config, built by the first call; the guard holds on each."""
+        sym = config._symmetries
+        if sym is None:
+            sym = config._symmetries = cls(config, max_points)
+        else:
+            _guard(len(config), max_points)
+        return sym
 
     @property
-    def frame(self):
-        """The witness frame of S; NeedsReductionError off the frame route."""
+    def anchor(self):
+        """The indices of the witness frame in S; NeedsReductionError off the frame route."""
         if self.route != "frame":
             raise NeedsReductionError(
                 f"{self.cls.tag.value} configuration: no frame to anchor the search"
             )
-        return self.cls.frame
+        return tuple(self.brackets.vectors.index(p.z) for p in self.cls.frame)
 
     @cached_property
     def conjugate(self):
         """The maps carrying conj(S) onto S, sorted by key; None on the tiny route.
 
         On the frame route they are the antiholomorphic symmetries of S
-        (3x3, anchored on the conjugate of the witness frame); on the line
-        route the holomorphic 2x2 maps of conj(reduction.config) onto
-        reduction.config.
+        (3x3, anchored on the conjugate of the witness frame, keyed on the
+        conjugate of the bracket table); on the line route the holomorphic
+        2x2 maps of conj(reduction.config) onto reduction.config.
         """
         if self.route == "tiny":
             return None
         if self.route == "line":
             line = self.reduction.config
-            return pgl2_equivalences(line.conj(), line, self.max_points)
-        frame = [p.conj() for p in self.frame]
-        maps = _keyed_equivalences(frame, self.config.conj().points, self.config.points)
-        return [SemiProjMap.from_z(m.z, antiholo=True) for m in maps]
+            return tuple(pgl2_equivalences(line.conj(), line, self.max_points))
+        table = self.brackets
+        maps = _keyed_equivalences(table.conj(), self.anchor, table)
+        return tuple(SemiProjMap.from_z(m.z, antiholo=True) for m in maps)
 
     @cached_property
     def holomorphic(self):
@@ -292,14 +376,15 @@ class Symmetries:
         `symmetry_permutations` is exact because S has a frame; off the
         frame route this raises NeedsReductionError.
         """
-        maps = _keyed_equivalences(self.frame, self.config.points, self.config.points)
-        symmetry_permutations(self.config, maps)
+        anchor = self.anchor
+        maps = tuple(_keyed_equivalences(self.brackets, anchor, self.brackets))
+        _permutation_pairs(self.brackets.vectors, maps)
         return maps
 
 
 def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
-    """The automorphism group of the configuration, verified (`Symmetries.holomorphic`)."""
-    return Symmetries(config, max_points).holomorphic
+    """The verified automorphism group (`Symmetries.holomorphic`), as a new list."""
+    return list(Symmetries.of(config, max_points).holomorphic)
 
 
 # --- the projective line --------------------------------------------------------
@@ -320,13 +405,10 @@ def pgl2_equivalences(source: PointConfig, target: PointConfig,
         raise TooSmallError(
             "configurations on the line need at least three points"
         )
-    if len(source) > max_points or len(target) > max_points:
-        raise TooManyPointsError(
-            f"enumeration guard of {max_points} points exceeded"
-        )
+    _guard(max(len(source), len(target)), max_points)
     if len(source) != len(target):
         return []
-    return _keyed_equivalences(source.points[:3], source.points, target.points)
+    return _keyed_equivalences(_brackets(source.points), (0, 1, 2), _brackets(target.points))
 
 
 # --- reduction to the line -------------------------------------------------------

@@ -29,15 +29,8 @@ from typing import Optional
 
 from .errors import InvalidInputError
 from .gaussian import GaussianRational, gq
-from .descent import (
-    DescentCertificate,
-    _descends_real,
-    _fom_real,
-    _normalizer,
-    descends_real,
-    real_model_check,
-)
-from .equivalence import NeedsReductionError, Symmetries, equivalences
+from .descent import DescentCertificate, descends_real, fom_real, normalizer, real_model_check
+from .equivalence import NeedsReductionError, aut_group, equivalences
 from .plane import PointConfig, ProjPoint, SemiProjMap
 
 
@@ -120,18 +113,20 @@ class GenericityReport:
 
 def certify_generic(params: FamilyParams) -> GenericityReport:
     """Certify per instance what is generically true: Aut = {I, diag(-1,-1,1)}."""
-    return _certify_generic(params)[0]
+    return _certify_generic(_variants(params))
 
 
-def _certify_generic(params: FamilyParams):
-    """`certify_generic` with the `Symmetries` it read, keyed "S" and "Sprime"."""
-    symmetries = {
-        v: Symmetries(family(FamilyParams(params.m, params.a, v))) for v in ("S", "Sprime")
-    }
+def _variants(params: FamilyParams):
+    """S and Sprime for params.m and params.a, keyed by variant."""
+    return {v: family(FamilyParams(params.m, params.a, v)) for v in ("S", "Sprime")}
+
+
+def _certify_generic(configs) -> GenericityReport:
+    """`certify_generic` of the two `_variants` configurations."""
     expected = {SemiProjMap.identity().key(), M_MATRIX.key()}
-    auts = {v: sym.holomorphic for v, sym in symmetries.items()}
+    auts = {v: aut_group(config) for v, config in configs.items()}
     generic = all({g.key() for g in group} == expected for group in auts.values())
-    return GenericityReport(generic, len(auts["S"]), len(auts["Sprime"])), symmetries
+    return GenericityReport(generic, len(auts["S"]), len(auts["Sprime"]))
 
 
 def canonical_two_lines(config: PointConfig) -> Optional[SemiProjMap]:
@@ -286,17 +281,17 @@ class PaperReport:
     )
 
 
-def _check_family_case(m, variant, sym: Symmetries, seed):
+def _check_family_case(m, variant, config: PointConfig, seed):
     failures = []
-    fom, witness = _fom_real(sym)
+    fom, witness = fom_real(config)
     if not fom:
         failures.append("conj(S) is not equivalent to S")
-    group = _normalizer(sym)
+    group = normalizer(config)
     if group.structure != "C4":
         failures.append(f"normalizer structure {group.structure}, expected C4")
     if group.order_profile != (1, 2, 4, 4):
         failures.append(f"order profile {group.order_profile}, expected (1, 2, 4, 4)")
-    certificate = _descends_real(sym, seed)
+    certificate = descends_real(config, seed)
     if certificate.descends:
         failures.append("configuration unexpectedly descends")
     if len(certificate.refutation) != len(group.holomorphic):
@@ -308,7 +303,7 @@ def _check_family_case(m, variant, sym: Symmetries, seed):
     return FamilyCase(
         m=m,
         variant=variant,
-        n=len(sym.config),
+        n=len(config),
         generic=True,
         fom_real=fom,
         fom_witness=witness,
@@ -328,10 +323,10 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
 
     For each m, take the first m pool entries and check both variants:
     conj-equivalence holds with a witness, the symmetry group is C4, and
-    descent fails with a complete refutation.  Each configuration gets
-    one `Symmetries` result, so genericity and the three checks share
-    two enumerations.  Non-generic parameter choices are flagged and
-    skipped rather than failed.  Then the positive battery: seeded
+    descent fails with a complete refutation.  Genericity and the three
+    checks are asked of one configuration object, which keeps its
+    `Symmetries`, so they share two enumerations.  Non-generic parameter
+    choices are flagged and skipped rather than failed.  Then the positive battery: seeded
     random twists of conjugation-stable configurations of each small
     size, all of which must descend to a verified real model.
     """
@@ -344,17 +339,18 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
             raise InvalidParameterError(
                 f"m = {m} needs more parameters than the pool provides"
             )
-        report, symmetries = _certify_generic(FamilyParams(m, pool[:m]))
-        for variant, sym in symmetries.items():
+        configs = _variants(FamilyParams(m, pool[:m]))
+        report = _certify_generic(configs)
+        for variant, config in configs.items():
             if not report.generic:
                 cases.append(FamilyCase(
-                    m=m, variant=variant, n=len(sym.config), generic=False,
+                    m=m, variant=variant, n=len(config), generic=False,
                     fom_real=False, fom_witness=None, normalizer_structure="",
                     normalizer_profile=(), certificate=None,
                     passed=True, skipped=True, failures=(),
                 ))
                 continue
-            cases.append(_check_family_case(m, variant, sym, seed))
+            cases.append(_check_family_case(m, variant, config, seed))
 
     battery = []
     for size in battery_sizes:

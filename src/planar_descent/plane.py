@@ -116,6 +116,13 @@ def zconj(v):
     return tuple([-x if k & 1 else x for k, x in enumerate(v)])
 
 
+def zmul(a, b):
+    """The product of two Gaussian integers."""
+    ar, ai = a
+    br, bi = b
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
 def zscale(c, v):
     """c = (cr, ci) times every entry of a Z[i] vector, or of a matrix given as rows."""
     if isinstance(v[0], tuple):
@@ -171,14 +178,6 @@ def znormal_matrix(m):
 def zlead(values):
     """L, the leading entry of a normal form: its first nonzero integer part."""
     return next(x for x in values if x)
-
-
-def zframe_matrix2(v1, v2, v3):
-    """The line's frame matrix (see zframe_matrix3), or None unless the points are distinct."""
-    d1, d2 = zdet2(v3, v2), zdet2(v1, v3)
-    if zdet2(v1, v2) == (0, 0) or d1 == (0, 0) or d2 == (0, 0):
-        return None
-    return zcolumns((zscale(d1, v1), zscale(d2, v2)))
 
 
 def zframe_matrix3(v1, v2, v3, v4):
@@ -391,9 +390,12 @@ def rref(rows):
 
 
 class PointConfig:
-    """A finite set of distinct points of one dimension, in canonical sorted order."""
+    """A finite set of distinct points of one dimension, in canonical sorted order.
 
-    __slots__ = ("points",)
+    `_symmetries` keeps the `equivalence.Symmetries` of this object, once built.
+    """
+
+    __slots__ = ("points", "_symmetries")
 
     def __init__(self, points):
         pts = []
@@ -410,6 +412,7 @@ class PointConfig:
             if a == b:
                 raise InvalidInputError(f"duplicate point {a}")
         self.points = tuple(pts)
+        self._symmetries = None
 
     def conj(self) -> "PointConfig":
         return PointConfig(p.conj() for p in self.points)

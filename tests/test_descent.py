@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -16,7 +17,13 @@ from planar_descent.descent import (
     normalizer,
     real_model_check,
 )
-from planar_descent.equivalence import NeedsReductionError, aut_group, classify, equivalences
+from planar_descent.equivalence import (
+    NeedsReductionError,
+    TooManyPointsError,
+    aut_group,
+    classify,
+    equivalences,
+)
 from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
 from test_equivalence import (
     FAULT_MESSAGES,
@@ -150,8 +157,9 @@ def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
         return drop_involution_or_swap(enumerate_maps(*args), fault)
 
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
+    # a fresh object: STANDARD_FRAME may keep symmetries from earlier tests
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
-        normalizer(STANDARD_FRAME)
+        normalizer(PointConfig(STANDARD_FRAME.points))
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -162,13 +170,13 @@ def test_normalizer_rejects_a_faulty_conjugate_enumeration(monkeypatch, fault, m
     # coset-size check or the check of the whole group must fire
     enumerate_maps = equivalence_module._keyed_equivalences
 
-    def faulty(source_frame, source, target):
-        maps = enumerate_maps(source_frame, source, target)
+    def faulty(source, anchor, target):
+        maps = enumerate_maps(source, anchor, target)
         return maps if source is target else drop_involution_or_swap(maps, fault)
 
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
     with pytest.raises(InternalError, match=message):
-        normalizer(STANDARD_FRAME)
+        normalizer(PointConfig(STANDARD_FRAME.points))
 
 
 def test_structure_tags_cover_small_groups():
@@ -575,14 +583,16 @@ def test_route_certificates_are_pinned(route, name):
     _check_pinned(route, name)
 
 
-# --- one classification and few enumerations per public decision ---------------
+# --- one classification and few enumerations per configuration object -----------
 
 
 @pytest.mark.parametrize("route, name", [
     ("tiny", "three_points"), ("line", "line_plus_point_descends"), ("frame", "refuted"),
 ])
 def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
-    # each enumeration is recorded as whether it ran S -> S (source == target)
+    # the decisions on one object share its Symmetries: together they
+    # classify once and run conj(S) -> S and S -> S at most once each;
+    # each enumeration is recorded as whether it ran S -> S
     classified, enumerated = [], []
     enumerate_maps = equivalence_module._keyed_equivalences
 
@@ -590,21 +600,58 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
         classified.append(config)
         return classify(config, *args)
 
-    def counting_enumeration(source_frame, source, target):
-        enumerated.append(source == target)
-        return enumerate_maps(source_frame, source, target)
+    def counting_enumeration(source, anchor, target):
+        enumerated.append(source is target)
+        return enumerate_maps(source, anchor, target)
 
     monkeypatch.setattr(equivalence_module, "classify", counting_classify)
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting_enumeration)
     config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
     assert config.conj() != config
-    conjugate_only = [] if route == "tiny" else [False]
-    decisions = [(descends_real, conjugate_only), (fom_real, conjugate_only)]
-    if route == "frame":
-        decisions.append((normalizer, [True, False]))
-    for decide, expected in decisions:
+    decisions = [descends_real, fom_real] + ([normalizer] if route == "frame" else [])
+    expected = {"tiny": [], "line": [False], "frame": [False, True]}[route]
+    # a fresh, equal object builds its own result and counts again
+    for subject in (config, PointConfig(config.points)):
         classified.clear()
         enumerated.clear()
-        decide(config)
-        assert classified == [config], decide.__name__
-        assert enumerated == expected, decide.__name__
+        for decide in decisions + decisions:
+            decide(subject)
+        assert len(classified) == 1 and classified[0] is subject
+        assert enumerated == expected
+
+
+@pytest.mark.parametrize("route, name", [
+    ("line", "line_plus_point_descends"), ("frame", "refuted"),
+])
+def test_guard_is_rechecked_on_a_shared_result(route, name):
+    config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
+    descends_real(config)
+    with pytest.raises(TooManyPointsError):
+        descends_real(config, max_points=len(config) - 1)
+
+
+def test_mutating_aut_group_leaves_the_shared_group_intact():
+    config = PointConfig(STANDARD_FRAME.points)
+    aut_group(config).clear()
+    assert len(aut_group(config)) == 24
+    assert normalizer(config).order == 48
+
+
+def test_symmetric_decisions_leave_no_cyclic_garbage():
+    # a config <-> Symmetries cycle would keep each decision's state
+    # alive until the cyclic collector runs
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        config = _paper_family(["2+1i"])
+        fom_real(config)
+        normalizer(config)
+        descends_real(config)
+        del config
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage
+                  if type(obj).__module__.startswith("planar_descent")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

@@ -480,8 +480,9 @@ def test_aut_group_rejects_a_faulty_enumeration(monkeypatch, fault):
         return drop_involution_or_swap(enumerate_maps(*args), fault)
 
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
+    # a fresh object: FAMILY_F may keep symmetries from earlier tests
     with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
-        aut_group(FAMILY_F)
+        aut_group(PointConfig(FAMILY_F.points))
 
 
 # --- reduction to the line -----------------------------------------------------------
@@ -694,3 +695,49 @@ def test_pgl2_preserves_cross_ratio():
                      1 / (1 - reference), (reference - 1) / reference,
                      reference / (reference - 1)}
             assert value in orbit
+
+
+# --- anchor independence of the bracket keys ----------------------------------------
+
+
+def _anchor_cases():
+    octahedral = [_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(-1, 1), _p1("0+1i", 1), _p1("0-1i", 1)]
+    return {
+        "frame48": STANDARD_FRAME,
+        "square16": PointConfig(FAMILY_F.points + (pt(0, 0, 1),)),
+        "twisted_s": _random_twist(random.Random(4)).apply(_paper_family(["2+1i"])),
+        "random6": _random_config(random.Random(9), 6),
+        "line_octahedral": _random_line_twist(random.Random(3)).apply(PointConfig(octahedral)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_anchor_cases()))
+def test_bracket_keys_do_not_depend_on_the_anchor(name):
+    # every frame of S anchors S -> S and conj(S) -> S to the same sorted
+    # maps as the anchor the library picks
+    config = _anchor_cases()[name]
+    points = config.points
+    if len(points[0].z) == 6:
+        witness = equivalence_module.Symmetries(config)
+        expected = {
+            "self": witness.holomorphic,
+            "conj": tuple(SemiProjMap.from_z(g.z) for g in witness.conjugate),
+        }
+        anchors = [
+            quad for quad in itertools.combinations(range(len(points)), 4)
+            if all(det3([points[k].coords for k in triple])
+                   for triple in itertools.combinations(quad, 3))
+        ]
+    else:
+        expected = {
+            "self": tuple(pgl2_equivalences(config, config)),
+            "conj": tuple(pgl2_equivalences(config.conj(), config)),
+        }
+        anchors = list(itertools.combinations(range(len(points)), 3))
+    assert anchors
+    table = equivalence_module._brackets(points)
+    for anchor in anchors:
+        assert tuple(equivalence_module._keyed_equivalences(table, anchor, table)) \
+            == expected["self"], anchor
+        assert tuple(equivalence_module._keyed_equivalences(table.conj(), anchor, table)) \
+            == expected["conj"], anchor
