@@ -54,7 +54,7 @@ def point_from_string(text: str) -> ProjPoint:
     parts = stripped[1:-1].split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"point {text!r} must have three coordinates")
-    return ProjPoint(*(parse_gq(part) for part in parts))
+    return ProjPoint(*parts)
 
 
 def config_to_json(config: PointConfig) -> dict:
@@ -73,7 +73,7 @@ def config_from_json(data) -> PointConfig:
 def map_to_json(m: SemiProjMap) -> dict:
     return {
         "antiholo": m.antiholo,
-        "matrix": [format_gq(x) for row in m.matrix for x in row],
+        "matrix": m.text(),
     }
 
 
@@ -88,8 +88,7 @@ def map_from_json(data) -> SemiProjMap:
     antiholo = data.get("antiholo", False)
     if not isinstance(antiholo, bool):
         raise InvalidInputError('"antiholo" must be true or false')
-    values = [parse_gq(entry) for entry in entries]
-    return SemiProjMap((values[0:3], values[3:6], values[6:9]), antiholo)
+    return SemiProjMap((entries[0:3], entries[3:6], entries[6:9]), antiholo)
 
 
 def certificate_to_json(cert: DescentCertificate) -> dict:

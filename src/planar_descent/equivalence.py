@@ -111,9 +111,9 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     """Sort a configuration into one of four mutually exclusive classes.
 
     Tiny: n <= 3.  HasFrame: some 4-subset in general position (the
-    witness is the lexicographically least one).  Otherwise, with n >= 4,
-    the points lie on a line (Collinear) or on a line plus one point off
-    it (LinePlusPoint); no further case exists.
+    witness is the least one, with the points ordered by their `z`).
+    Otherwise, with n >= 4, the points lie on a line (Collinear) or on a
+    line plus one point off it (LinePlusPoint); no further case exists.
     """
     n = len(config)
     _guard(n, max_points)
@@ -143,8 +143,9 @@ class _Brackets(NamedTuple):
     rows: dict
 
     def conj(self) -> "_Brackets":
-        """The table of the conjugate points, in the same index order."""
-        rows = {f: [(re, -im) for re, im in row] for f, row in self.rows.items()}
+        """The conjugate points' table, in the same index order, one tuple per entry value."""
+        conj = {x: (x[0], -x[1]) for row in self.rows.values() for x in row}
+        rows = {f: list(map(conj.__getitem__, row)) for f, row in self.rows.items()}
         return _Brackets(zconj(self.vectors), rows)
 
 
@@ -253,11 +254,11 @@ def _keyed_equivalences(source, anchor, target):
 
 def equivalences(source: PointConfig, target: PointConfig,
                  max_points: int = MAX_POINTS):
-    """Every g in PGL3 with g(source) = target, sorted canonically.
+    """Every g in PGL3 with g(source) = target, sorted by `SemiProjMap.key`.
 
     Requires a general-position 4-subset in the source (NeedsReductionError
-    otherwise); the lexicographically least one from `classify` anchors
-    the keyed enumeration.  Different sizes yield the empty list.
+    otherwise); the least one from `classify` anchors the keyed
+    enumeration.  Different sizes yield the empty list.
     """
     sym = Symmetries.of(source, max_points)
     anchor = sym.anchor
@@ -392,7 +393,7 @@ def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
 
 def pgl2_equivalences(source: PointConfig, target: PointConfig,
                       max_points: int = MAX_POINTS):
-    """Every holomorphic map of the line with g(source) = target, sorted canonically.
+    """Every holomorphic map of the line with g(source) = target, sorted by key.
 
     Any three distinct points are a frame on the line, so the first three
     source points anchor the same keyed enumeration as `equivalences`,

@@ -7,14 +7,15 @@ package ever applies.  All operations normalize, so equality is
 structural and values are hashable.
 
 The rational components are `fractions.Fraction`: always gcd-reduced,
-denominator positive, zero stored as 0/1.
+denominator positive, zero stored as 0/1.  Text is read by one scanner into
+integers (`scan_gq`) and written by one rule from integers (`format_zi`).
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InternalError, InvalidInputError
 
@@ -175,35 +176,52 @@ def _scan_rational(text, pos):
     m = _RATIONAL_RE.match(text, pos)
     if m is None:
         raise ParseError("expected a rational number", pos)
-    if m.group(2) is not None and int(m.group(2)) == 0:
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
         raise ParseError("denominator must be positive", m.start(2))
-    value = Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
-    return value, m.end()
+    return int(m.group(1)), den, m.end()
 
 
-def parse_gq(text: str) -> GaussianRational:
-    """Parse a Q(i) literal such as "2+1i", "-3/4" or "0-5/7i"."""
-    re_part, pos = _scan_rational(text, 0)
+def scan_gq(text: str):
+    """(re numerator, re denominator, im numerator, im denominator) of a literal, unreduced."""
+    re_num, re_den, pos = _scan_rational(text, 0)
     if pos == len(text):
-        return GaussianRational(re_part)
+        return re_num, re_den, 0, 1
     sign = text[pos]
     if sign not in "+-":
         raise ParseError("expected '+', '-' or end of input", pos)
-    im_part, pos = _scan_rational(text, pos + 1)
+    im_num, im_den, pos = _scan_rational(text, pos + 1)
     if pos == len(text) or text[pos] != "i":
         raise ParseError("expected 'i'", pos)
     pos += 1
     if pos != len(text):
         raise ParseError("trailing characters", pos)
-    return GaussianRational(re_part, -im_part if sign == "-" else im_part)
+    return re_num, re_den, -im_num if sign == "-" else im_num, im_den
+
+
+def parse_gq(text: str) -> GaussianRational:
+    """Parse a Q(i) literal such as "2+1i", "-3/4" or "0-5/7i"."""
+    re_num, re_den, im_num, im_den = scan_gq(text)
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+def _format_ratio(num, den):
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def format_zi(re: int, im: int, den: int) -> str:
+    """The literal of the Q(i) number (re + im i) / den, for integers and den > 0."""
+    if im == 0:
+        return _format_ratio(re, den)
+    sign = "-" if im < 0 else "+"
+    return f"{_format_ratio(re, den)}{sign}{_format_ratio(abs(im), den)}i"
 
 
 def format_gq(x: GaussianRational) -> str:
     """Format so that parse_gq(format_gq(x)) == x."""
-    if x.im == 0:
-        return str(x.re)
-    sign = "-" if x.im < 0 else "+"
-    return f"{x.re}{sign}{abs(x.im)}i"
+    (a, b), (c, d) = x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    return format_zi(a * d, c * b, b * d)
 
 
 # --- sum of two squares ------------------------------------------------------
@@ -315,8 +333,6 @@ def _is_prime(n):
 
 def _brent_rho(n):
     """A nontrivial factor of composite odd n; Brent's cycle variant."""
-    from math import gcd
-
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

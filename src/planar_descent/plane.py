@@ -16,9 +16,10 @@ apply, compose and inverse are Gaussian-integer products.  The kernels
 below are the only linear algebra the decision procedures use.
 
 The Q(i) form with leading entry 1 (`coords`, `dual`, `matrix`) is the
-stored tuple divided by L.  It is a read-only view, computed on demand;
-`key()`, `str` and the JSON output format it.  Configurations keep their
-points sorted by that key (lexicographic on the coordinate strings).
+stored tuple divided by L, a read-only view computed on demand.  Points
+and lines sort by their normal form (`key()` is `z`), maps by (antiholo,
+not the identity, `z`).  Q(i) strings exist only for output: `str`,
+`repr` and the JSON format write them from `z` and L (`format_zi`).
 Conics keep Q(i) coefficients; no decision uses them.
 """
 
@@ -29,7 +30,7 @@ from itertools import chain, combinations
 from math import gcd, lcm
 
 from .errors import InternalError, InvalidInputError
-from .gaussian import GaussianRational, format_gq, gq
+from .gaussian import GaussianRational, format_zi, gq, scan_gq
 
 
 class NotAFrameError(InvalidInputError):
@@ -200,12 +201,19 @@ def zframe_matrix3(v1, v2, v3, v4):
 
 
 def _from_qi(values, message):
-    """Q(i) values as one Z[i] vector, times the lcm of their denominators."""
-    parts = [x for c in map(gq, values) for x in (c.re, c.im)]
-    if not any(parts):
+    """Q(i) values or literals as one Z[i] vector, times the lcm of their denominators."""
+    ratios = []
+    for x in values:
+        if isinstance(x, str):
+            parts = scan_gq(x)
+        else:
+            c = gq(x)
+            parts = c.re.as_integer_ratio() + c.im.as_integer_ratio()
+        ratios += (parts[:2], parts[2:])
+    if not any(num for num, _ in ratios):
         raise InvalidInputError(message)
-    m = lcm(*[x.denominator for x in parts])
-    return tuple([x.numerator * (m // x.denominator) for x in parts])
+    m = lcm(*[den for _, den in ratios])
+    return tuple([num * (m // den) for num, den in ratios])
 
 
 def _qi_view(v, lead):
@@ -213,6 +221,12 @@ def _qi_view(v, lead):
         GaussianRational(Fraction(v[j], lead), Fraction(v[j + 1], lead))
         for j in range(0, len(v), 2)
     ])
+
+
+def _qi_text(v):
+    """The Q(i) literals of the entries of a flat normal form, divided by its lead L."""
+    lead = zlead(v)
+    return [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)]
 
 
 # --- points, lines, conics ----------------------------------------------------
@@ -243,7 +257,8 @@ class _NormalVector:
         return obj
 
     def key(self):
-        return tuple([format_gq(c) for c in _qi_view(self.z, zlead(self.z))])
+        """The sort key: the normal form itself."""
+        return self.z
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -272,13 +287,13 @@ class ProjPoint(_NormalVector):
         return _qi_view(self.z, zlead(self.z))
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return self.z < other.z
 
     def __repr__(self):
         return f"ProjPoint{self.coords!r}"
 
     def __str__(self):
-        return "(" + ":".join(self.key()) + ")"
+        return "(" + ":".join(_qi_text(self.z)) + ")"
 
 
 class Line(_NormalVector):
@@ -300,7 +315,7 @@ class Line(_NormalVector):
         return f"Line{self.dual!r}"
 
     def __str__(self):
-        return "[" + ":".join(self.key()) + "]"
+        return "[" + ":".join(_qi_text(self.z)) + "]"
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
@@ -390,7 +405,7 @@ def rref(rows):
 
 
 class PointConfig:
-    """A finite set of distinct points of one dimension, in canonical sorted order.
+    """A finite set of distinct points of one dimension, sorted by their normal form.
 
     `_symmetries` keeps the `equivalence.Symmetries` of this object, once built.
     """
@@ -519,10 +534,12 @@ class SemiProjMap:
         return SemiProjMap.from_z(adj, self.antiholo)
 
     def key(self):
-        # identity sorts first within each flag class
-        return (self.antiholo, self.z != ZIDENTITY[len(self.z)]) + tuple(
-            [format_gq(x) for row in self.matrix for x in row]
-        )
+        """The sort key; the identity sorts first within each flag class."""
+        return (self.antiholo, self.z != ZIDENTITY[len(self.z)], self.z)
+
+    def text(self):
+        """The entries as Q(i) literals, row-major, the first nonzero one 1."""
+        return _qi_text([x for row in self.z for x in row])
 
     def __eq__(self, other):
         if not isinstance(other, SemiProjMap):
@@ -537,9 +554,8 @@ class SemiProjMap:
 
     def __repr__(self):
         kind = "antiholo" if self.antiholo else "holo"
-        rows = "; ".join(
-            " ".join(format_gq(x) for x in row) for row in self.matrix
-        )
+        entries, n = self.text(), len(self.z)
+        rows = "; ".join(" ".join(entries[j:j + n]) for j in range(0, len(entries), n))
         return f"SemiProjMap<{kind}: {rows}>"
 
 

@@ -492,6 +492,32 @@ def test_line_refutation_on_anisotropic_six_points():
         assert element.apply(config) == config
 
 
+# --- the order of maps ------------------------------------------------------------
+
+
+def _assert_map_order(maps, group=True):
+    """Sorted by (antiholo, not the identity, normal form); a group starts at the identity."""
+    identity = SemiProjMap.identity().z
+    keys = [(g.antiholo, g.z != identity, g.z) for g in maps]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert maps[0].is_identity() == group
+
+
+def test_maps_sort_by_flag_identity_and_normal_form():
+    rng = random.Random(31)
+    square_and_centre = PointConfig([pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1),
+                                     pt(0, 0, 1)])
+    for base in (STANDARD_FRAME, square_and_centre, _paper_family(["2+1i", "3+2i"])):
+        for config in (base, _random_twist(rng).apply(base)):
+            fresh = PointConfig(config.points)
+            _assert_map_order(aut_group(fresh))
+            _assert_map_order(equivalences(fresh, _random_twist(rng).apply(fresh)), False)
+            group = normalizer(fresh)
+            _assert_map_order(group.elements)
+            assert [g.antiholo for g in group.elements] == sorted(
+                g.antiholo for g in group.elements)
+
+
 # --- pinned certificates, per route ---------------------------------------------
 
 _TWIST = SemiProjMap(((1, "1+1i", 0), (2, -1, "0+1i"), (0, 3, 1)))
@@ -511,7 +537,7 @@ ROUTE_PINS = {
     "line": {
         "collinear_descends": (
             _COSET4, "Collinear", True, True,
-            "80d2ba62877db3e2705b75be7eb6f114b87ba495504e9ae98e90a9500b13406e"),
+            "c1dd10bd9743e888a7c9f544503f44bfce51ce5bedf38fc53b21caa34b147447"),
         "collinear_refuted": (
             _ANISO6, "Collinear", True, False,
             "ca4e5767f1f7d880d294a3d25e1f98af3fcae444e5299eef723fc26c2e2958d7"),
@@ -520,7 +546,7 @@ ROUTE_PINS = {
             "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
         "line_plus_point_descends": (
             _COSET4 + [pt(0, 0, 1)], "LinePlusPoint", True, True,
-            "186b1da34213a8cb0518ba23b0a42b075828169a0c7bd39cd656dd6fcd1b5568"),
+            "82065af79c4614d27cf62a1b724fcd627bb6eacbd5d0a2f8eedfc280a6dc8064"),
         "line_plus_point_refuted": (
             _ANISO6 + [pt(0, 0, 1)], "LinePlusPoint", True, False,
             "19bb4fb8e0d7c1b04d351d1d216363f16db5bb0ed5b2d7d5bb3bdc24203f5e65"),
@@ -529,7 +555,7 @@ ROUTE_PINS = {
             "fe2fc16eec2f8ba51a6231fef0e9fb0671887001fd8629d1388c4dc5f67cd7c6"),
         "harmonic_plus_point_descends": (
             _HARMONIC + [pt(1, 2, 1)], "LinePlusPoint", True, True,
-            "41c39b0129e8cfd0331f94c74b4128907bf60c1e31cb214d42f0ea7960e14aa1"),
+            "e8283e23c7ee1cad3e48661f8d1af5dd47beb824a88c4f6f879c5b167ca092a8"),
     },
     "tiny": {
         "one_point": (
@@ -537,21 +563,21 @@ ROUTE_PINS = {
             "4cf416cfdc0b6285de82397fda030c5ebfd4f6d2e49ded7a511e08633e08264a"),
         "two_points": (
             [pt(1, "0+1i", 2), pt("1-1i", 3, 1)], "Tiny", True, True,
-            "5be01d967c5afa0bf4ea63951c34ee503333c4f85e45aa6f10a7e295e9c32867"),
+            "a9b1b739bcd1fcae97a47402fb1c1a90daad2d723bf3846075283cd9b27e56d6"),
         "three_points": (
             [pt("1+2i", 1, 0), pt(0, "3-1i", 1), pt(2, 1, "1+1i")], "Tiny", True, True,
-            "79de4c7e5ade4455aff6fcfee48d93a5b7e596b4d3d847bed28e3c92329e0b65"),
+            "83d30ffd8c63504b12cb1bbff5bd0bbb2f20e539c091e3788e63de05c796f727"),
         "three_collinear": (
             [pt("1+1i", 1, 0), pt(2, 1, 0), pt("0+3i", 1, 0)], "Tiny", True, True,
-            "3b577761ca9af3c4ff2e8335261a9d41a238a1a8c78ca9b1b2c052b5bbb8ca5c"),
+            "8898031969e03b815f95518382a11ddb2e31581334d61d1c39404d8d5ed43c41"),
     },
     "frame": {
         "descends": (
             _FRAME + [pt(2, 3, 1)], "HasFrame", True, True,
-            "4ed4bef33d3a8ee1b9ccd118df2198ab30472c6d357051946d74a3e2e37e2a79"),
+            "070dc734c4a062deb92f0e39cdfc6bf34922cba5917085087c38c83c81dd5602"),
         "refuted": (
             list(_paper_family(["2+1i"])), "HasFrame", True, False,
-            "5f03e39cb57b7d932f389f34218c26d06e7e9872459564dd069dd0add659d9b3"),
+            "dea111d33fc1187f19b878bf8b3c37a123dd410b38f42b0e1125e89da13b118f"),
         "not_fom": (
             _FRAME + [pt(1, "2+1i", 0)], "HasFrame", False, False,
             "a1b17ecf1019fb457821283d8c54d8c06d878218fc7efa1d4b3a5d8cccc828ad"),

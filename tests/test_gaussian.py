@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import re
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from planar_descent.gaussian import (
@@ -10,13 +14,16 @@ from planar_descent.gaussian import (
     NotANormError,
     ParseError,
     format_gq,
+    format_zi,
     gq,
     parse_gq,
+    scan_gq,
     _factorize,
     _is_prime,
     _strong_lucas_probable_prime,
     two_squares,
 )
+from planar_descent.plane import _qi_text, _qi_view, zlead, znormal
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -163,6 +170,104 @@ def test_format_parse_round_trip():
     assert format_gq(GaussianRational(0)) == "0"
     assert format_gq(GaussianRational(2, -1)) == "2-1i"
     assert format_gq(GaussianRational(0, Fraction(5, 7))) == "0+5/7i"
+
+
+# --- the integer formatter and scanner against the Fraction rules --------------
+
+_derandomized = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_parts = st.one_of(
+    st.just(0), st.integers(-60, 60), st.integers(-10 ** 15, 10 ** 15),
+)
+_leads = st.one_of(st.just(1), st.integers(1, 60), st.integers(10 ** 11, 10 ** 15))
+
+
+def _fraction_format(re, im):
+    """The formatting rule stated on Fraction parts: str of each, "i" on a nonzero im."""
+    if im == 0:
+        return str(re)
+    return f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
+
+
+@_derandomized
+@given(st.lists(_parts, min_size=2, max_size=6).filter(lambda v: len(v) % 2 == 0), _leads)
+def test_integer_formatter_matches_fraction_formatting(v, lead):
+    expected = [_fraction_format(c.re, c.im) for c in _qi_view(v, lead)]
+    assert [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)] == expected
+    assert [format_gq(c) for c in _qi_view(v, lead)] == expected
+    if any(v):
+        z = znormal(v)
+        assert _qi_text(z) == [_fraction_format(c.re, c.im) for c in _qi_view(z, zlead(z))]
+
+
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def _fraction_parse(text):
+    """The grammar read with Fractions: (value, None) or (None, (message, position))."""
+    parts, pos = [], 0
+    for k in range(2):
+        m = _RATIONAL.match(text, pos)
+        if m is None:
+            return None, ("expected a rational number", pos)
+        if m.group(2) is not None and int(m.group(2)) == 0:
+            return None, ("denominator must be positive", m.start(2))
+        parts.append(Fraction(int(m.group(1)), int(m.group(2) or 1)))
+        pos = m.end()
+        if k == 0:
+            if pos == len(text):
+                return GaussianRational(parts[0]), None
+            if text[pos] not in "+-":
+                return None, ("expected '+', '-' or end of input", pos)
+            sign, pos = text[pos], pos + 1
+    if pos == len(text) or text[pos] != "i":
+        return None, ("expected 'i'", pos)
+    if pos + 1 != len(text):
+        return None, ("trailing characters", pos + 1)
+    return GaussianRational(parts[0], -parts[1] if sign == "-" else parts[1]), None
+
+
+def _assert_scans_like_fractions(text):
+    value, error = _fraction_parse(text)
+    if error is None:
+        rn, rd, im, idn = scan_gq(text)
+        assert GaussianRational(Fraction(rn, rd), Fraction(im, idn)) == value
+        assert parse_gq(text) == value
+        return
+    message, position = error
+    for parse in (scan_gq, parse_gq):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.position) == (
+            f"{message} (at position {position})", position)
+
+
+@_derandomized
+@given(_parts, st.integers(1, 10 ** 13), _parts, st.integers(1, 10 ** 13),
+       st.sampled_from(["+", "-", "+-", "--"]), st.booleans(), st.booleans())
+def test_integer_scanner_matches_fractions_on_literals(a, b, c, d, sign, re_den, im_den):
+    real = f"{a}/{b}" if re_den else str(a)
+    imag = f"{abs(c)}/{d}" if im_den else str(abs(c))
+    _assert_scans_like_fractions(real)
+    _assert_scans_like_fractions(f"{real}{sign}{imag}i")
+
+
+@_derandomized
+@given(st.text(alphabet="0123456789/+-i ", max_size=10))
+def test_integer_scanner_matches_fractions_on_any_text(text):
+    _assert_scans_like_fractions(text)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("", "expected a rational number", 0),
+    ("1/0", "denominator must be positive", 2),
+    ("2+i", "expected a rational number", 2),
+    ("1+2", "expected 'i'", 3),
+    ("1 ", "expected '+', '-' or end of input", 1),
+    ("--1", "expected a rational number", 0),
+])
+def test_malformed_literals_keep_their_parse_errors(text, message, position):
+    assert _fraction_parse(text) == (None, (message, position))
+    _assert_scans_like_fractions(text)
 
 
 def test_is_prime_on_strong_pseudoprimes_to_the_fixed_bases():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from planar_descent.cli import map_from_json, map_to_json, point_from_string
 from planar_descent.errors import InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.plane import (
@@ -20,6 +21,7 @@ from planar_descent.plane import (
     frame_map,
     line_through,
     map_between_frames,
+    zdet3,
 )
 
 
@@ -89,6 +91,48 @@ def test_canonicalization_idempotent():
     assert Line(*line.dual) == line
     conic = Conic(2, 2, -2, 0, 0, 0)
     assert Conic(*conic.coeffs) == conic
+
+
+def test_config_points_sort_by_normal_form():
+    rng = random.Random(11)
+    for _ in range(30):
+        points = list({_random_point(rng) for _ in range(rng.randint(1, 8))})
+        expected = sorted(p.z for p in points)
+        for _ in range(3):
+            rng.shuffle(points)
+            scales = [_random_scalar(rng) for _ in points]
+            scaled = [ProjPoint(*[c * x for x in p.coords]) for c, p in zip(scales, points)]
+            config = PointConfig(scaled)
+            assert [p.z for p in config.points] == expected
+            assert list(config.points) == sorted(points)
+
+
+def _random_big_point(rng, dim=3):
+    """A point of the line or plane with 1- to 14-digit Z[i] parts, some of them zero."""
+    while True:
+        v = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10 ** 14, 10 ** 14)))
+             for _ in range(2 * dim)]
+        if any(v):
+            return ProjPoint.from_z(v)
+
+
+def test_text_of_points_lines_and_maps_parses_back():
+    rng = random.Random(12)
+    for _ in range(100):
+        p, q = _random_big_point(rng), _random_big_point(rng)
+        assert point_from_string(str(p)) == p
+        on_line = _random_big_point(rng, 2)
+        assert ProjPoint(*str(on_line)[1:-1].split(":")) == on_line
+        if p != q:
+            line = line_through(p, q)
+            assert Line(*str(line)[1:-1].split(":")) == line
+        rows = [_random_big_point(rng).z for _ in range(3)]
+        if zdet3(*rows) == (0, 0):
+            continue
+        g = SemiProjMap.from_z(rows, antiholo=rng.random() < 0.5)
+        assert map_from_json(map_to_json(g)) == g
+        kind, body = repr(g)[len("SemiProjMap<"):-1].split(": ")
+        assert SemiProjMap([row.split(" ") for row in body.split("; ")], kind == "antiholo") == g
 
 
 def test_point_rejects_zero():
