@@ -9,26 +9,19 @@ from .gaussian import (
     GaussianRational,
     NotANormError,
     ParseError,
-    Rational,
     format_gq,
     gq,
     parse_gq,
     two_squares,
 )
 from .plane import (
-    Conic,
     DegenerateInputError,
     Line,
-    NotAFrameError,
     PointConfig,
     ProjPoint,
     SemiProjMap,
     collinear,
-    conic_through_5,
-    conj_config,
-    frame_map,
     line_through,
-    map_between_frames,
 )
 from .equivalence import (
     ConfigClass,
@@ -56,13 +49,11 @@ from .descent import (
     real_model_check,
 )
 from .families import (
-    CANONICAL_FIVE,
     DEFAULT_POOL,
     FamilyParams,
     GenericityReport,
     InvalidParameterError,
     PaperReport,
-    canonical_two_lines,
     certify_generic,
     family,
     verify_paper,

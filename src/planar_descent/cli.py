@@ -20,7 +20,7 @@ import os
 import sys
 
 from .errors import InternalError, InvalidInputError
-from .gaussian import format_gq, parse_gq
+from .gaussian import ParseError, format_gq, parse_gq, scan_gq
 from .equivalence import aut_group, classify, equivalences
 from .descent import (
     DescentCertificate,
@@ -54,7 +54,17 @@ def point_from_string(text: str) -> ProjPoint:
     parts = stripped[1:-1].split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"point {text!r} must have three coordinates")
-    return ProjPoint(*parts)
+    try:
+        return ProjPoint(*parts)
+    except ParseError:
+        for k, part in enumerate(parts, 1):
+            try:
+                scan_gq(part)
+            except ParseError as exc:
+                raise InvalidInputError(
+                    f"point {text!r}, coordinate {k} {part!r}: {exc}"
+                ) from None
+        raise
 
 
 def config_to_json(config: PointConfig) -> dict:

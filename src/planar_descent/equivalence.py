@@ -55,7 +55,7 @@ from .plane import (
     zcolumns,
     zconj,
     zcross,
-    zframe_matrix3,
+    zgeneral_position,
     zmatmul,
     zmatvec,
     zmatvec3,
@@ -123,7 +123,7 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
         return ConfigClass(ConfigTag.TINY)
     pts = config.points
     for quad in itertools.combinations(range(n), 4):
-        if zframe_matrix3(*[pts[k].z for k in quad]) is not None:
+        if zgeneral_position(*[pts[k].z for k in quad]):
             return ConfigClass(ConfigTag.HAS_FRAME, frame=tuple(pts[k] for k in quad))
     spanning = line_through(pts[0], pts[1])
     if all(spanning.contains(p) for p in pts[2:]):
@@ -433,7 +433,6 @@ class LineReduction:
     config: PointConfig
     basis: tuple
     off: tuple
-    line: Line
     residue: Optional[ProjPoint]
 
     def to_plane(self, p: ProjPoint) -> ProjPoint:
@@ -442,15 +441,6 @@ class LineReduction:
     def chart_matrix(self):
         """Columns basis[0], basis[1], off: standard coordinates -> plane."""
         return zcolumns(self.basis + (self.off,))
-
-    def conj(self) -> "LineReduction":
-        return LineReduction(
-            config=self.config.conj(),
-            basis=zconj(self.basis),
-            off=zconj(self.off),
-            line=self.line.conj(),
-            residue=self.residue.conj() if self.residue else None,
-        )
 
 
 def reduce_to_line(config: PointConfig, max_points: int = MAX_POINTS) -> LineReduction:
@@ -486,6 +476,5 @@ def _reduce(config, cls):
         config=PointConfig(line_points),
         basis=(basis_vector(f0), basis_vector(f1)),
         off=off,
-        line=line,
         residue=residue,
     )

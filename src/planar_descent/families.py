@@ -17,7 +17,9 @@ the automorphism group.
 
 `verify_paper` bundles the negative direction (the families above) with
 a positive battery: random small configurations built as Q(i)-twists of
-conjugation-stable sets, all of which must descend.
+conjugation-stable sets, all of which must descend.  Besides the family
+builder and its genericity certificate, the module holds only the
+samplers of that battery and the bundled run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 from .errors import InvalidInputError
 from .gaussian import GaussianRational, gq
 from .descent import DescentCertificate, descends_real, fom_real, normalizer, real_model_check
-from .equivalence import NeedsReductionError, aut_group, equivalences
+from .equivalence import aut_group
 from .plane import PointConfig, ProjPoint, SemiProjMap
 
 
@@ -39,14 +41,6 @@ class InvalidParameterError(InvalidInputError):
 
 
 M_MATRIX = SemiProjMap(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
-
-CANONICAL_FIVE = PointConfig([
-    ProjPoint(0, 0, 1),
-    ProjPoint(0, 1, 0),
-    ProjPoint(1, 0, 0),
-    ProjPoint(0, 1, 1),
-    ProjPoint(1, 0, 1),
-])
 
 DEFAULT_POOL = (
     GaussianRational(2, 1),
@@ -127,22 +121,6 @@ def _certify_generic(configs) -> GenericityReport:
     auts = {v: aut_group(config) for v, config in configs.items()}
     generic = all({g.key() for g in group} == expected for group in auts.values())
     return GenericityReport(generic, len(auts["S"]), len(auts["Sprime"]))
-
-
-def canonical_two_lines(config: PointConfig) -> Optional[SemiProjMap]:
-    """Map a five-point, two-line configuration onto the canonical one.
-
-    The canonical set is {(0:0:1), (0:1:0), (1:0:0), (0:1:1), (1:0:1)}:
-    three points on each of two lines, sharing one.  Returns None when
-    the configuration is not of that shape.
-    """
-    if len(config) != 5:
-        raise InvalidInputError("exactly five points are required")
-    try:
-        maps = equivalences(config, CANONICAL_FIVE)
-    except NeedsReductionError:
-        return None
-    return maps[0] if maps else None
 
 
 # --- random twisted configurations ------------------------------------------------

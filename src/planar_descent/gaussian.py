@@ -19,8 +19,6 @@ from math import gcd, isqrt
 
 from .errors import InternalError, InvalidInputError
 
-Rational = Fraction
-
 
 class ParseError(InvalidInputError):
     """Malformed Q(i) literal; carries the offset of the offending character."""

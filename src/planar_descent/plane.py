@@ -1,9 +1,9 @@
 """Projective line and plane primitives, stored as normalized Gaussian integers.
 
-Points of the line (two coordinates) and of the plane (three), lines and
-conics over Q(i), plus semilinear maps of either: a projective linear
-map (2x2 or 3x3) together with a flag saying whether coordinatewise
-complex conjugation is applied first.
+Points of the line (two coordinates) and of the plane (three), lines of
+the plane, finite configurations of points, and semilinear maps of the
+line or the plane: a projective linear map (2x2 or 3x3) together with a
+flag saying whether coordinatewise complex conjugation is applied first.
 
 A Gaussian integer is a pair of Python ints (re, im); a vector of d of
 them is a flat 2d-tuple (ar, ai, br, bi, ...), and a d x d matrix is a
@@ -20,21 +20,16 @@ stored tuple divided by L, a read-only view computed on demand.  Points
 and lines sort by their normal form (`key()` is `z`), maps by (antiholo,
 not the identity, `z`).  Q(i) strings exist only for output: `str`,
 `repr` and the JSON format write them from `z` and L (`format_zi`).
-Conics keep Q(i) coefficients; no decision uses them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError
 from .gaussian import GaussianRational, format_zi, gq, scan_gq
-
-
-class NotAFrameError(InvalidInputError):
-    """Four points that fail general position (three collinear)."""
 
 
 class DegenerateInputError(InvalidInputError):
@@ -181,20 +176,16 @@ def zlead(values):
     return next(x for x in values if x)
 
 
-def zframe_matrix3(v1, v2, v3, v4):
-    """Columns d_k * v_k, the frame matrix scaled to stay integral, or None.
+def zgeneral_position(v1, v2, v3, v4):
+    """True iff no three of the four points of the plane are collinear.
 
-    d_k is the determinant of v_1, v_2, v_3 with v_k replaced by v_4, so
-    by Cramer's rule the columns sum to det(v_1, v_2, v_3) * v_4.  The
-    points form a frame exactly when det(v_1, v_2, v_3) and every d_k are
-    nonzero; otherwise the result is None.
+    That is, the four 3x3 determinants of three of the vectors are all
+    nonzero; the points then form a frame.
     """
-    if zdet3(v1, v2, v3) == (0, 0):
-        return None
-    d1, d2, d3 = zdet3(v4, v2, v3), zdet3(v1, v4, v3), zdet3(v1, v2, v4)
-    if d1 == (0, 0) or d2 == (0, 0) or d3 == (0, 0):
-        return None
-    return zcolumns((zscale(d1, v1), zscale(d2, v2), zscale(d3, v3)))
+    return (
+        zdet3(v1, v2, v3) != (0, 0) and zdet3(v4, v2, v3) != (0, 0)
+        and zdet3(v1, v4, v3) != (0, 0) and zdet3(v1, v2, v4) != (0, 0)
+    )
 
 
 # --- conversion to and from Q(i) ---------------------------------------------------
@@ -229,7 +220,7 @@ def _qi_text(v):
     return [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)]
 
 
-# --- points, lines, conics ----------------------------------------------------
+# --- points and lines ---------------------------------------------------------
 
 
 def _plane(p):
@@ -330,77 +321,6 @@ def line_through(p: ProjPoint, q: ProjPoint) -> Line:
     return Line.from_z(cross)
 
 
-class Conic:
-    """A plane conic, coefficients ordered (xx, yy, zz, xy, xz, yz)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, xx, yy, zz, xy, xz, yz):
-        coeffs = tuple(gq(c) for c in (xx, yy, zz, xy, xz, yz))
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
-            raise InvalidInputError("conic coefficients must not all be zero")
-        inv = lead.inverse()
-        self.coeffs = tuple(c * inv for c in coeffs)
-
-    def evaluate(self, p: ProjPoint) -> GaussianRational:
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        _plane(p)
-        x, y, z = p.coords
-        return (
-            xx * x * x + yy * y * y + zz * z * z
-            + xy * x * y + xz * x * z + yz * y * z
-        )
-
-    def contains(self, p: ProjPoint) -> bool:
-        return not self.evaluate(p)
-
-    @property
-    def is_degenerate(self) -> bool:
-        # 4 det of the symmetric matrix with diagonal xx, yy, zz and
-        # off-diagonal entries xy/2, xz/2, yz/2
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        return not (
-            4 * xx * yy * zz + xy * xz * yz - xx * yz * yz - yy * xz * xz - zz * xy * xy
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Conic):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("conic", self.coeffs))
-
-    def __repr__(self):
-        return f"Conic{self.coeffs!r}"
-
-
-def rref(rows):
-    """Reduced row echelon form over Q(i); returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, nrows) if rows[k][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                factor = rows[k][c]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in rows], pivots
-
-
 # --- configurations -----------------------------------------------------------
 
 
@@ -451,11 +371,6 @@ class PointConfig:
 
     def __repr__(self):
         return "PointConfig([" + ", ".join(str(p) for p in self.points) + "])"
-
-
-def conj_config(config: PointConfig) -> PointConfig:
-    """Coordinatewise complex conjugation of a configuration; involutive."""
-    return config.conj()
 
 
 # --- semilinear maps ----------------------------------------------------------
@@ -557,60 +472,3 @@ class SemiProjMap:
         entries, n = self.text(), len(self.z)
         rows = "; ".join(" ".join(entries[j:j + n]) for j in range(0, len(entries), n))
         return f"SemiProjMap<{kind}: {rows}>"
-
-
-# --- frames -------------------------------------------------------------------
-
-
-def frame_map(frame) -> SemiProjMap:
-    """The holomorphic map sending the standard frame to the given one.
-
-    Standard frame: (1:0:0), (0:1:0), (0:0:1), (1:1:1).  The map is the
-    matrix with columns c_k * v_k where (c_1, c_2, c_3) solves
-    [v_1 v_2 v_3] c = v_4; general position makes every c_k nonzero.
-    """
-    frame = tuple(frame)
-    if len(frame) != 4:
-        raise NotAFrameError("a frame consists of four points")
-    matrix = zframe_matrix3(*[_plane(p) for p in frame])
-    if matrix is None:
-        triple = next(t for t in combinations(frame, 3) if collinear(*t))
-        raise NotAFrameError(
-            f"three of the four points are collinear: {triple[0]}, {triple[1]}, {triple[2]}"
-        )
-    return SemiProjMap.from_z(matrix)
-
-
-def map_between_frames(source, target) -> SemiProjMap:
-    """The holomorphic map carrying the source frame pointwise to the target."""
-    return frame_map(target) * frame_map(source).inverse()
-
-
-def conic_through_5(config: PointConfig) -> Conic:
-    """The unique conic through five points; DegenerateInputError if not unique.
-
-    Builds the 5x6 incidence system; the solution space must be exactly
-    one-dimensional (four collinear points, for instance, leave a pencil).
-    """
-    if len(config) != 5:
-        raise InvalidInputError("exactly five points are required")
-    rows = []
-    for p in config:
-        _plane(p)
-        x, y, z = p.coords
-        rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
-    reduced, pivots = rref(rows)
-    if len(pivots) != 5:
-        raise DegenerateInputError(
-            "the conic through these five points is not unique"
-        )
-    free = next(c for c in range(6) if c not in pivots)
-    solution = [GaussianRational(0)] * 6
-    solution[free] = GaussianRational(1)
-    for row, pivot in zip(reduced, pivots):
-        solution[pivot] = -row[free]
-    conic = Conic(*solution)
-    for p in config:
-        if not conic.contains(p):
-            raise InternalError("computed conic misses an input point")
-    return conic

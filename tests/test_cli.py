@@ -8,6 +8,8 @@ from planar_descent.cli import main
 # sha256 of the report of `verify-paper --m-range 1..1 --samples 4 --seed 3`;
 # a change that alters it on purpose must say so and why
 SMALL_REPORT_SHA256 = "5cf1898a436d103540b5a441e1844df024a4244552084cf42801305c281e9e13"
+# sha256 of the report of `verify-paper --seed 0` at every other default; same rule
+DEFAULT_REPORT_SHA256 = "7b0d854efa227cdc0608db2da74faf8d1680baf84eb02d835056775a6b48c9de"
 
 
 def run_cli(args, capsys):
@@ -179,6 +181,15 @@ def test_malformed_coordinate_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_coordinate_names_point_and_coordinate(tmp_path, capsys):
+    for point, k, part in (("(1 : 0 : 0)", 1, "1 "), ("(0:1:2+3)", 3, "2+3")):
+        bad = write_config(tmp_path / "bad3.json", ["(0:0:1)", point])
+        code, out, err = run_cli(["classify", "--in", bad], capsys)
+        assert code == 2 and out == ""
+        assert f"point {point!r}, coordinate {k} {part!r}: " in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_paper_small_and_deterministic(capsys, tmp_path):
     args = ["verify-paper", "--m-range", "1..1", "--samples", "4", "--seed", "3"]
     code, out1, _ = run_cli(args + ["--out", str(tmp_path / "r1.json")], capsys)
@@ -191,6 +202,13 @@ def test_verify_paper_small_and_deterministic(capsys, tmp_path):
     report = json.loads((tmp_path / "r1.json").read_text())
     assert report["passed"] is True
     assert report["family_cases"][0]["normalizer_structure"] == "C4"
+
+
+def test_verify_paper_default_report_pinned(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(["verify-paper", "--seed", "0", "--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 @pytest.mark.parametrize("args", [

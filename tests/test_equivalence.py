@@ -27,6 +27,7 @@ from planar_descent.plane import (
     SemiProjMap,
     collinear,
     line_through,
+    zconj,
     znormal,
 )
 
@@ -522,9 +523,9 @@ def test_reduction_conj_matches_reducing_the_conjugate():
         config = PointConfig(points)
         reduction = reduce_to_line(config)
         other = reduce_to_line(config.conj())
-        assert reduction.conj().config == other.config
-        assert reduction.conj().basis == other.basis
-        assert reduction.conj().off == other.off
+        assert other.config == reduction.config.conj()
+        assert other.basis == zconj(reduction.basis)
+        assert other.off == zconj(reduction.off)
 
 
 # --- the projective line -------------------------------------------------------------

@@ -5,14 +5,11 @@ import pytest
 import planar_descent.equivalence as equivalence_module
 from planar_descent.gaussian import gq
 from planar_descent.families import (
-    CANONICAL_FIVE,
     FamilyParams,
     InvalidParameterError,
-    canonical_two_lines,
     certify_generic,
     family,
     random_real_stable_config,
-    random_twist,
     verify_paper,
 )
 from planar_descent.plane import PointConfig, ProjPoint
@@ -82,35 +79,6 @@ def test_certify_generic_flags_real_parameter():
     report = certify_generic(FamilyParams(1, ["2"]))
     assert not report.generic
     assert report.aut_order_s > 2
-
-
-def test_canonical_two_lines_fixes_canonical_set():
-    g = canonical_two_lines(CANONICAL_FIVE)
-    assert g is not None
-    assert g.apply(CANONICAL_FIVE) == CANONICAL_FIVE
-
-
-def test_canonical_two_lines_recovers_twists():
-    rng = random.Random(40)
-    for _ in range(20):
-        twist = random_twist(rng)
-        scrambled = twist.apply(CANONICAL_FIVE)
-        g = canonical_two_lines(scrambled)
-        assert g is not None
-        assert g.apply(scrambled) == CANONICAL_FIVE
-
-
-def test_canonical_two_lines_not_applicable_on_conic_points():
-    config = PointConfig([
-        pt(1, 0, 1), pt(0, 1, 1), pt(-1, 0, 1), pt(0, -1, 1),
-        pt("3/5", "4/5", 1),
-    ])
-    assert canonical_two_lines(config) is None
-
-
-def test_canonical_two_lines_not_applicable_on_line_plus_point():
-    config = PointConfig([pt(k, 1, 0) for k in range(4)] + [pt(0, 0, 1)])
-    assert canonical_two_lines(config) is None
 
 
 def test_random_stable_configs_are_stable():

@@ -2,25 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from planar_descent.cli import map_from_json, map_to_json, point_from_string
 from planar_descent.errors import InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.plane import (
-    Conic,
     DegenerateInputError,
     Line,
-    NotAFrameError,
     PointConfig,
     ProjPoint,
     SemiProjMap,
     collinear,
-    conic_through_5,
-    conj_config,
-    frame_map,
     line_through,
-    map_between_frames,
     zdet3,
 )
 
@@ -89,8 +82,6 @@ def test_canonicalization_idempotent():
         assert [(x.re * lead, x.im * lead) for x in p.coords] == list(zip(p.z[::2], p.z[1::2]))
     line = line_through(pt(1, 2, 3), pt(0, 1, 1))
     assert Line(*line.dual) == line
-    conic = Conic(2, 2, -2, 0, 0, 0)
-    assert Conic(*conic.coeffs) == conic
 
 
 def test_config_points_sort_by_normal_form():
@@ -157,19 +148,13 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(InvalidInputError):
         PointConfig([ProjPoint(1, 2), pt(1, 2, 3)])
     # plane helpers on points of the line
-    a, b, c, d, e = (ProjPoint(s, 1) for s in range(5))
+    a, b, c = (ProjPoint(s, 1) for s in range(3))
     with pytest.raises(InvalidInputError):
         collinear(a, b, c)
     with pytest.raises(InvalidInputError):
         line_through(a, b)
     with pytest.raises(InvalidInputError):
         Line(0, 0, 1).contains(a)
-    with pytest.raises(InvalidInputError):
-        Conic(1, 1, -1, 0, 0, 0).evaluate(a)
-    with pytest.raises(InvalidInputError):
-        conic_through_5(PointConfig([a, b, c, d, e]))
-    with pytest.raises(InvalidInputError):
-        frame_map([a, b, c, d])
 
 
 # --- incidence ------------------------------------------------------------------
@@ -197,119 +182,6 @@ def test_point_on_line_iff_collinear():
         if p == q:
             continue
         assert line_through(p, q).contains(r) == collinear(p, q, r)
-
-
-# --- conics ---------------------------------------------------------------------
-
-
-def test_conic_through_unit_circle_points():
-    config = PointConfig([
-        pt(1, 0, 1), pt(0, 1, 1), pt(-1, 0, 1), pt(0, -1, 1),
-        pt("3/5", "4/5", 1),
-    ])
-    conic = conic_through_5(config)
-    assert conic == Conic(1, 1, -1, 0, 0, 0)
-    assert not conic.is_degenerate
-
-
-def test_conic_four_collinear_rejected():
-    config = PointConfig([
-        pt(0, 1, 0), pt(1, 1, 0), pt(2, 1, 0), pt(3, 1, 0), pt(0, 0, 1),
-    ])
-    with pytest.raises(DegenerateInputError):
-        conic_through_5(config)
-
-
-def test_conic_incidence_and_uniqueness_against_sympy():
-    rng = random.Random(12)
-    trials = 0
-    while trials < 20:
-        pts = []
-        while len(pts) < 5:
-            p = _random_point(rng)
-            if p not in pts:
-                pts.append(p)
-        config = PointConfig(pts)
-
-        def cell(value):
-            return sympy.Rational(value.re) + sympy.I * sympy.Rational(value.im)
-
-        rows = []
-        for p in config:
-            x, y, z = p.coords
-            rows.append([cell(x * x), cell(y * y), cell(z * z),
-                         cell(x * y), cell(x * z), cell(y * z)])
-        rank = sympy.Matrix(rows).rank()
-        if rank != 5:
-            with pytest.raises(DegenerateInputError):
-                conic_through_5(config)
-        else:
-            conic = conic_through_5(config)
-            for p in config:
-                assert conic.contains(p)
-            null = sympy.Matrix(rows).nullspace()
-            assert len(null) == 1
-        trials += 1
-
-
-# --- frames ---------------------------------------------------------------------
-
-
-def test_frame_map_standard_is_identity():
-    frame = (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1))
-    assert frame_map(frame) == SemiProjMap.identity()
-
-
-def test_frame_map_column_scaling():
-    frame = (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 2, 3))
-    assert frame_map(frame) == SemiProjMap(((1, 0, 0), (0, 2, 0), (0, 0, 3)))
-
-
-def test_frame_map_permutation():
-    frame = (pt(0, 1, 0), pt(1, 0, 0), pt(0, 0, 1), pt(1, 1, 1))
-    assert frame_map(frame) == SemiProjMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-
-
-def test_frame_map_reproduces_frame():
-    rng = random.Random(13)
-    standard = (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1))
-    produced = 0
-    while produced < 20:
-        frame = tuple(_random_point(rng) for _ in range(4))
-        try:
-            g = frame_map(frame)
-        except NotAFrameError:
-            continue
-        for std, image in zip(standard, frame):
-            assert g.apply(std) == image
-        produced += 1
-
-
-def test_map_between_frames_identity():
-    frame = (pt(1, 2, 0), pt(0, 1, 1), pt(1, 0, 1), pt(1, 1, 1))
-    assert map_between_frames(frame, frame) == SemiProjMap.identity()
-
-
-def test_map_between_frames_rejects_collinear():
-    bad = (pt(0, 0, 1), pt(0, 1, 0), pt(1, 0, 0), pt(0, 1, 1))
-    standard = (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1))
-    with pytest.raises(NotAFrameError):
-        map_between_frames(standard, bad)
-
-
-def test_map_between_random_frames():
-    rng = random.Random(14)
-    produced = 0
-    while produced < 20:
-        source = tuple(_random_point(rng) for _ in range(4))
-        target = tuple(_random_point(rng) for _ in range(4))
-        try:
-            g = map_between_frames(source, target)
-        except NotAFrameError:
-            continue
-        for s, t in zip(source, target):
-            assert g.apply(s) == t
-        produced += 1
 
 
 # --- semilinear maps --------------------------------------------------------------
@@ -349,10 +221,10 @@ def test_apply_respects_composition(dim):
 
 def test_conj_config_examples():
     single = PointConfig([pt("2+1i", 1, 0)])
-    assert conj_config(single) == PointConfig([pt("2-1i", 1, 0)])
+    assert single.conj() == PointConfig([pt("2-1i", 1, 0)])
     stable = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 1)])
-    assert conj_config(stable) == stable
-    assert conj_config(conj_config(single)) == single
+    assert stable.conj() == stable
+    assert single.conj().conj() == single
 
 
 def test_config_rejects_duplicates():
