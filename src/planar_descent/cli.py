@@ -3,8 +3,9 @@
 Configurations travel as {"points": ["(x:y:z)", ...]} with each
 coordinate in the exact Q(i) grammar ("2+1i", "-3/4", ...); maps as
 {"antiholo": bool, "matrix": [nine strings, row-major]}.  Output is
-deterministic: keys sorted, no timestamps, randomness only through
---seed (overridden by the PLANAR_DESCENT_SEED environment variable).
+deterministic: keys sorted, no timestamps, and every decision's output
+is a function of its input.  `--seed`, taken by `verify-paper` only,
+draws that command's random battery.
 
 Exit codes: 0 success; 1 a verification run asserted something the
 mathematics refused; 2 invalid input; 3 internal invariant failure;
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InternalError, InvalidInputError
@@ -37,14 +37,21 @@ from .families import (
 )
 from .plane import PointConfig, ProjPoint, SemiProjMap
 
-SEED_ENV_VAR = "PLANAR_DESCENT_SEED"
-
 
 # --- serialization ------------------------------------------------------------
 
 
 def point_to_string(p: ProjPoint) -> str:
     return str(p)
+
+
+def _name_malformed(literals, owner, noun):
+    """Raise InvalidInputError naming the first literal that is not Q(i), by index from 1."""
+    for k, literal in enumerate(literals, 1):
+        try:
+            scan_gq(literal)
+        except ParseError as exc:
+            raise InvalidInputError(f"{owner}, {noun} {k} {literal!r}: {exc}") from None
 
 
 def point_from_string(text: str) -> ProjPoint:
@@ -57,13 +64,7 @@ def point_from_string(text: str) -> ProjPoint:
     try:
         return ProjPoint(*parts)
     except ParseError:
-        for k, part in enumerate(parts, 1):
-            try:
-                scan_gq(part)
-            except ParseError as exc:
-                raise InvalidInputError(
-                    f"point {text!r}, coordinate {k} {part!r}: {exc}"
-                ) from None
+        _name_malformed(parts, f"point {text!r}", "coordinate")
         raise
 
 
@@ -98,7 +99,11 @@ def map_from_json(data) -> SemiProjMap:
     antiholo = data.get("antiholo", False)
     if not isinstance(antiholo, bool):
         raise InvalidInputError('"antiholo" must be true or false')
-    return SemiProjMap((entries[0:3], entries[3:6], entries[6:9]), antiholo)
+    try:
+        return SemiProjMap((entries[0:3], entries[3:6], entries[6:9]), antiholo)
+    except ParseError:
+        _name_malformed(entries, "map matrix", "entry")
+        raise
 
 
 def certificate_to_json(cert: DescentCertificate) -> dict:
@@ -262,7 +267,7 @@ def _cmd_fom(args):
 
 def _cmd_descend(args):
     config = config_from_json(_load_json(args.infile))
-    cert = descends_real(config, seed=args.seed, max_points=args.max_n)
+    cert = descends_real(config, args.max_n)
     _emit(args, certificate_to_json(cert))
     return 0
 
@@ -330,15 +335,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_input=True):
+    def add(name, func, help_text, decision=True):
+        """A subcommand; a decision reads a configuration under an enumeration guard."""
         p = sub.add_parser(name, help=help_text)
-        if needs_input:
+        if decision:
             p.add_argument("--in", dest="infile", required=True,
                            help="input configuration JSON")
+            p.add_argument("--max-n", dest="max_n", type=int, default=20,
+                           help="enumeration guard (default 20)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--max-n", dest="max_n", type=int, default=20,
-                       help="enumeration guard (default 20)")
         p.set_defaults(func=func)
         return p
 
@@ -350,7 +355,7 @@ def _build_parser():
     add("descend", _cmd_descend, "decide real descent and emit a certificate")
     add("normalizer", _cmd_normalizer, "full symmetry group including conjugations")
 
-    fam = add("family", _cmd_family, "generate a counterexample family", needs_input=False)
+    fam = add("family", _cmd_family, "generate a counterexample family", decision=False)
     fam.add_argument("--variant", choices=("S", "Sprime"), default="S")
     fam.add_argument("--a", required=True,
                      help="comma-separated parameters, e.g. \"2+1i,3+2i\"")
@@ -359,7 +364,9 @@ def _build_parser():
 
     verify = add("verify-paper", _cmd_verify_paper,
                  "certify the counterexample families and the small-size battery",
-                 needs_input=False)
+                 decision=False)
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed of the battery's random samples (default 0)")
     verify.add_argument("--m-range", dest="m_range", default="1..3",
                         help='e.g. "1..3" (default) or a single integer')
     verify.add_argument("--a", default=None,
@@ -372,12 +379,6 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if SEED_ENV_VAR in os.environ:
-        try:
-            args.seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            print(f"error: {SEED_ENV_VAR} must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except InvalidInputError as exc:

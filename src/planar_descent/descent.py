@@ -26,7 +26,6 @@ each, on first use; all decisions asked of one object share it.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -53,10 +52,6 @@ from .plane import (
 
 class NotACocycleError(InvalidInputError):
     """A . conj(A) is not a scalar matrix, so A cannot be split."""
-
-
-class SplitRetryError(InternalError):
-    """The randomized splitting trials ran out; should never happen."""
 
 
 class IrrationalModelError(PlanarDescentError):
@@ -154,17 +149,20 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
 # --- constructive Hilbert 90 ----------------------------------------------------
 
 
-def hilbert90_split(matrix, seed: int = 0) -> SemiProjMap:
+def hilbert90_split(matrix) -> SemiProjMap:
     """B with matrix = B . conj(B)^-1 up to scalar, verified exactly.
 
     `matrix` is a 3x3 SemiProjMap or rows of Q(i) values; only its
     normal form A is used.  Requires A . conj(A) = mu * I for a scalar
     mu; mu is then automatically positive (mu^3 is the norm of the
-    determinant), and t = mu / det has norm mu^2 / mu^3 = 1/mu, so
-    t * A is an exact cocycle with t A conj(t A) = I.  B = t A conj(C) + C
-    works for any trial C that leaves B invertible, since then
-    t A conj(B) = t A conj(t A) C + t A conj(C) = B.  With
-    t = conj(det) / mu^2 everything is computed times mu^2, in Z[i].
+    determinant), and c = conj(det) A has c conj(c) = mu^4 I, so
+    sigma(x) = c conj(x) / mu^2 is an antilinear involution.  Its fixed
+    vectors are a real form of C^3, and x -> x + sigma(x) maps onto them;
+    so the images of e_j and i e_j (times mu^2), c e_j + mu^2 e_j and
+    i (mu^2 e_j - c e_j), span it over R and some three are a basis over
+    C.  B takes the first such triple in `itertools.combinations` order
+    as columns (the first is c + mu^2 I), and c conj(B) = mu^2 B is
+    checked exactly.  Everything is computed in Z[i].
     """
     if not isinstance(matrix, SemiProjMap):
         matrix = SemiProjMap(matrix)
@@ -183,29 +181,27 @@ def hilbert90_split(matrix, seed: int = 0) -> SemiProjMap:
     cocycle = zscale((det_r, -det_i), a)
     scale = mu * mu
 
-    rng = random.Random(seed)
-    for attempt in range(100):
-        trial = ZIDENTITY[3] if attempt == 0 else tuple(
-            tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(3)
-        )
-        candidate = zmatmul(cocycle, zconj(trial))
-        b = tuple(
-            tuple([x + scale * y for x, y in zip(row, trial_row)])
-            for row, trial_row in zip(candidate, trial)
-        )
-        if zdet3(*b) == (0, 0):
-            continue
-        if zmatmul(cocycle, zconj(b)) != zscale((scale, 0), b):
-            raise InternalError("splitting identity failed on an invertible trial")
-        return SemiProjMap.from_z(b)
-    raise SplitRetryError("no invertible splitting found in 100 trials")
+    images = zcolumns(cocycle)
+    fixed = [tuple([x + scale * y for x, y in zip(image, unit)])
+             for image, unit in zip(images, ZIDENTITY[3])]
+    fixed += [zscale((0, 1), tuple([scale * y - x for x, y in zip(image, unit)]))
+              for image, unit in zip(images, ZIDENTITY[3])]
+    for triple in itertools.combinations(fixed, 3):
+        b = zcolumns(triple)
+        if zdet3(*b) != (0, 0):
+            break
+    else:
+        raise InternalError("the fixed vectors of the cocycle span no basis")
+    if zmatmul(cocycle, zconj(b)) != zscale((scale, 0), b):
+        raise InternalError("splitting identity failed")
+    return SemiProjMap.from_z(b)
 
 
 # --- the three decision routes ---------------------------------------------------
 
 
-def _certificate_from_involution(config, tau, seed, route, witness):
-    splitter = hilbert90_split(tau, seed)
+def _certificate_from_involution(config, tau, route, witness):
+    splitter = hilbert90_split(tau)
     model = splitter.inverse().apply(config)
     if model.conj() != model:
         raise InternalError("split model is not conjugation-stable")
@@ -229,12 +225,12 @@ def _no_descent(route, witness=None, refutation=()):
     )
 
 
-def _descend_frame(config, sym, witness, seed):
+def _descend_frame(config, sym, witness):
     refutation = []
     for tau in sym.conjugate:
         square = tau * tau
         if square.is_identity():
-            return _certificate_from_involution(config, tau, seed, "frame", witness)
+            return _certificate_from_involution(config, tau, "frame", witness)
         refutation.append((tau, square))
     return _no_descent("frame", witness, tuple(refutation))
 
@@ -324,7 +320,7 @@ def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
     return SemiProjMap.from_z(zmatmul(zmatmul(h, block), zadjugate3(zconj(h))), antiholo=True)
 
 
-def _descend_line(config, sym, witness, seed):
+def _descend_line(config, sym, witness):
     reduction, candidates = sym.reduction, sym.conjugate
     chosen = None
     positive_non_norm = False
@@ -354,7 +350,7 @@ def _descend_line(config, sym, witness, seed):
         tau = _lift(reduction, *chosen)
         if tau.apply(config) != config or not (tau * tau).is_identity():
             raise InternalError("lifted line involution does not stabilize the input")
-        return _certificate_from_involution(config, tau, seed, "line", witness)
+        return _certificate_from_involution(config, tau, "line", witness)
     if positive_non_norm:
         raise IrrationalModelError(
             "descent holds over the reals, but every real model needs "
@@ -390,8 +386,7 @@ def _fom_witness(sym: Symmetries) -> Optional[SemiProjMap]:
     return sym.conjugate[0]
 
 
-def descends_real(config: PointConfig, seed: int = 0,
-                  max_points: int = MAX_POINTS) -> DescentCertificate:
+def descends_real(config: PointConfig, max_points: int = MAX_POINTS) -> DescentCertificate:
     """Decide descent to the real projective plane, with a certificate."""
     sym = Symmetries.of(config, max_points)
     if sym.route == "tiny":
@@ -400,7 +395,7 @@ def descends_real(config: PointConfig, seed: int = 0,
     if witness is None:
         return _no_descent(sym.route)
     descend = _descend_line if sym.route == "line" else _descend_frame
-    return descend(config, sym, witness, seed)
+    return descend(config, sym, witness)
 
 
 def real_model_check(config: PointConfig, certificate: DescentCertificate):

@@ -1,14 +1,14 @@
-"""Exact arithmetic in the Gaussian rationals Q(i).
+"""Exact arithmetic in the Gaussian rationals Q(i), its text, and sums of two squares.
 
-Every coordinate used by the library lives here: numbers of the form
-re + im*i with re, im exact rationals.  Q(i) is closed under complex
-conjugation, which is the only field automorphism the rest of the
-package ever applies.  All operations normalize, so equality is
-structural and values are hashable.
-
-The rational components are `fractions.Fraction`: always gcd-reduced,
-denominator positive, zero stored as 0/1.  Text is read by one scanner into
-integers (`scan_gq`) and written by one rule from integers (`format_zi`).
+Points, lines and maps store normalized Gaussian-integer tuples (`plane`).
+What lives here: `GaussianRational` (re + im*i with exact rational parts)
+for scalars (mu, t, `two_squares`, the parameter pool) and for the
+read-only `coords`/`dual`/`matrix` views; the one scanner (`scan_gq`) and
+the one formatter (`format_zi`) of Q(i) text; and the decomposition of a
+rational into two squares (`two_squares`).  Q(i) is closed under complex
+conjugation, the only field automorphism the package applies.  All
+operations normalize, so equality is structural and values are hashable;
+the rational parts are gcd-reduced `Fraction`s with positive denominators.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def test_criterion_3_positive_direction():
             stable = random_real_stable_config(rng, size)
             assert stable.conj() == stable
             config = random_twist(rng).apply(stable)
-            cert = descends_real(config, seed=0)
+            cert = descends_real(config)
             assert cert.descends, f"size {size} sample {index} did not descend"
             ok, reason = real_model_check(config, cert)
             assert ok, f"size {size} sample {index}: {reason}"
@@ -127,7 +127,7 @@ def test_criterion_4_round_trip_soundness():
         if classify(stable).tag is not ConfigTag.HAS_FRAME:
             continue
         config = random_twist(rng).apply(stable)
-        cert = descends_real(config, seed=1)
+        cert = descends_real(config)
         assert cert.descends
         ok, reason = real_model_check(config, cert)
         assert ok, reason

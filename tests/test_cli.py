@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from planar_descent.cli import main
+from planar_descent.cli import certificate_from_json, main, map_from_json
+from planar_descent.errors import InvalidInputError
 
 # sha256 of the report of `verify-paper --m-range 1..1 --samples 4 --seed 3`;
 # a change that alters it on purpose must say so and why
@@ -190,6 +191,18 @@ def test_malformed_coordinate_names_point_and_coordinate(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_malformed_matrix_entry_names_entry():
+    entries = ["1", "0", "0", "0", "1 ", "0", "0", "0", "1"]
+    for data in ({"matrix": entries}, {"antiholo": True, "matrix": entries}):
+        with pytest.raises(InvalidInputError) as exc:
+            map_from_json(data)
+        assert str(exc.value).startswith("map matrix, entry 5 '1 ': ")
+    cert = {"descends": False, "refutation": [
+        {"element": {"antiholo": True, "matrix": entries}, "square": {"matrix": entries}}]}
+    with pytest.raises(InvalidInputError, match="entry 5 '1 '"):
+        certificate_from_json(cert)
+
+
 def test_verify_paper_small_and_deterministic(capsys, tmp_path):
     args = ["verify-paper", "--m-range", "1..1", "--samples", "4", "--seed", "3"]
     code, out1, _ = run_cli(args + ["--out", str(tmp_path / "r1.json")], capsys)
@@ -228,15 +241,19 @@ def test_verify_paper_accepts_zero_samples(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PLANAR_DESCENT_SEED", "11")
-    infile = write_config(tmp_path / "stable.json",
-                          ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])
-    code, out, _ = run_cli(["descend", "--in", infile, "--seed", "4"], capsys)
-    assert code == 0
-    monkeypatch.setenv("PLANAR_DESCENT_SEED", "not-a-number")
-    code, _, err = run_cli(["descend", "--in", infile], capsys)
-    assert code == 2
+@pytest.mark.parametrize("args", [
+    ["descend", "--seed", "1"], ["classify", "--seed", "1"],
+    ["family", "--max-n", "5", "--a", "2+1i"], ["verify-paper", "--max-n", "5"],
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, args):
+    if args[0] in ("descend", "classify"):
+        args = args + ["--in", write_config(tmp_path / "frame.json",
+                                            ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_max_n_guard(tmp_path, capsys):
