@@ -8,7 +8,10 @@ is a function of its input.  `--seed`, taken by `verify-paper` only,
 draws that command's random battery.
 
 Exit codes: 0 success; 1 a verification run asserted something the
-mathematics refused; 2 invalid input; 3 internal invariant failure;
+mathematics refused; 2 invalid input, including an input file that
+cannot be read, an output path that cannot be written, and integers
+longer than the interpreter's limit for integer text; 3 internal
+invariant failure;
 4 the configuration descends over the reals, but no real model has
 Q(i) coordinates.
 """
@@ -139,16 +142,21 @@ def certificate_from_json(data) -> DescentCertificate:
     refutation = tuple(
         (map_from_json(entry["element"]), map_from_json(entry["square"])) for entry in entries
     )
+    if not all(isinstance(data.get(key, False), bool) for key in ("descends", "fom_real")):
+        raise InvalidInputError('"descends" and "fom_real" must be true or false')
+    route = data.get("route", "")
+    if "route" in data and route not in ("frame", "line", "tiny"):
+        raise InvalidInputError('"route" must be "frame", "line" or "tiny"')
     return DescentCertificate(
-        fom_real=bool(data.get("fom_real")),
+        fom_real=data.get("fom_real", False),
         fom_witness=opt_map("fom_witness"),
-        descends=bool(data["descends"]),
+        descends=data["descends"],
         real_model=config_from_json(data["real_model"])
         if data.get("real_model") else None,
         splitter=opt_map("splitter"),
         cocycle=opt_map("cocycle"),
         refutation=refutation,
-        route=data.get("route", ""),
+        route=route,
     )
 
 
@@ -216,17 +224,20 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or past the digit limit
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(args, payload) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -15,7 +15,8 @@ decided on the line: a planar antiholomorphic involution stabilizing S
 restricts to a line-level matrix N with N . conj(N) = mu * I where mu
 must be positive and a Q(i) norm, and conversely any such N lifts.
 Configurations of at most three points always descend, by explicitly
-moving them to a standard real position.
+moving them to a standard real position.  On all three routes the
+positive certificate is built in one place from its splitter B.
 
 Each decision is a view of the `Symmetries` result kept on its
 configuration object (`Symmetries.of`, see `equivalence`), which
@@ -200,8 +201,8 @@ def hilbert90_split(matrix) -> SemiProjMap:
 # --- the three decision routes ---------------------------------------------------
 
 
-def _certificate_from_involution(config, tau, route, witness):
-    splitter = hilbert90_split(tau)
+def _certificate(config, splitter, cocycle, route, witness):
+    """The positive certificate of splitter B, once B^-1(S) is checked conjugation-stable."""
     model = splitter.inverse().apply(config)
     if model.conj() != model:
         raise InternalError("split model is not conjugation-stable")
@@ -211,7 +212,7 @@ def _certificate_from_involution(config, tau, route, witness):
         descends=True,
         real_model=model,
         splitter=splitter,
-        cocycle=tau,
+        cocycle=cocycle,
         refutation=(),
         route=route,
     )
@@ -230,7 +231,7 @@ def _descend_frame(config, sym, witness):
     for tau in sym.conjugate:
         square = tau * tau
         if square.is_identity():
-            return _certificate_from_involution(config, tau, "frame", witness)
+            return _certificate(config, hilbert90_split(tau), tau, "frame", witness)
         refutation.append((tau, square))
     return _no_descent("frame", witness, tuple(refutation))
 
@@ -246,7 +247,7 @@ def _complete_to_basis(cols, unit):
 
 
 def _standardize_tiny(config: PointConfig) -> SemiProjMap:
-    """A holomorphic map carrying at most three points to real positions.
+    """The splitter B of at most three points: B^-1 carries them to real positions.
 
     The matrix columns are the points with leading coordinate 1 (the
     splitter depends on each column's scale), all multiplied by the lcm
@@ -278,11 +279,7 @@ def _standardize_tiny(config: PointConfig) -> SemiProjMap:
         if zmatvec(zcolumns((v1, v2)), da + db) != zscale(d, v3):
             raise InternalError("collinear solve failed to extend")
         matrix = _complete_to_basis([zscale(da, v1), zscale(db, v2)], zscale(d, (m, 0)))
-    g = SemiProjMap.from_z(matrix).inverse()
-    model = g.apply(config)
-    if model.conj() != model:
-        raise InternalError("standard tiny model is not conjugation-stable")
-    return g
+    return SemiProjMap.from_z(matrix)
 
 
 def _cocycle(splitter):
@@ -291,16 +288,11 @@ def _cocycle(splitter):
 
 
 def _descend_tiny(config):
-    g = _standardize_tiny(config)
-    model = g.apply(config)
-    splitter = g.inverse()
+    splitter = _standardize_tiny(config)
     cocycle = _cocycle(splitter)
     if cocycle.apply(config) != config or not (cocycle * cocycle).is_identity():
         raise InternalError("tiny cocycle is not an involution of the input")
-    return DescentCertificate(
-        fom_real=True, fom_witness=cocycle, descends=True, real_model=model,
-        splitter=splitter, cocycle=cocycle, refutation=(), route="tiny",
-    )
+    return _certificate(config, splitter, cocycle, "tiny", cocycle)
 
 
 def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
@@ -350,7 +342,7 @@ def _descend_line(config, sym, witness):
         tau = _lift(reduction, *chosen)
         if tau.apply(config) != config or not (tau * tau).is_identity():
             raise InternalError("lifted line involution does not stabilize the input")
-        return _certificate_from_involution(config, tau, "line", witness)
+        return _certificate(config, hilbert90_split(tau), tau, "line", witness)
     if positive_non_norm:
         raise IrrationalModelError(
             "descent holds over the reals, but every real model needs "

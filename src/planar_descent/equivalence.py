@@ -314,10 +314,12 @@ class Symmetries:
     """The symmetries of one configuration S, each enumerated once, on first use.
 
     S is classified on construction; `route` is "frame" (a general-position
-    4-subset, the witness frame, anchors the enumerations on the bracket
-    table of S), "line" (S is collinear or a line plus a point, read on
-    its line as `reduction`) or "tiny" (at most three points).  Reading
-    only `conjugate` never enumerates S -> S.
+    4-subset, the witness frame, anchors the enumerations), "line" (S is
+    collinear or a line plus a point, read on its line as `reduction`) or
+    "tiny" (at most three points).  Off the tiny route one bracket table
+    is built, of S or of `reduction.config`, and conj(S) -> S is read from
+    it and its entrywise conjugate on both routes.  Reading only
+    `conjugate` never enumerates S -> S.
 
     `Symmetries.of(config)` is shared by every decision on one config
     object and lives as long as that object; there is no module-level
@@ -326,12 +328,12 @@ class Symmetries:
     """
 
     def __init__(self, config: PointConfig, max_points: int = MAX_POINTS):
-        self.max_points = max_points
         self.cls = classify(config, max_points)
         self.route = {ConfigTag.HAS_FRAME: "frame", ConfigTag.TINY: "tiny"}.get(
             self.cls.tag, "line")
         self.reduction = _reduce(config, self.cls) if self.route == "line" else None
-        self.brackets = _brackets(config.points) if self.route == "frame" else None
+        enumerated = self.reduction.config if self.reduction else config
+        self.brackets = _brackets(enumerated.points) if self.route != "tiny" else None
 
     @classmethod
     def of(cls, config: PointConfig, max_points: int = MAX_POINTS) -> "Symmetries":
@@ -354,20 +356,16 @@ class Symmetries:
 
     @cached_property
     def conjugate(self):
-        """The maps carrying conj(S) onto S, sorted by key; None on the tiny route.
+        """The antiholomorphic symmetries x -> A conj(x), sorted by key; None if tiny.
 
-        On the frame route they are the antiholomorphic symmetries of S
-        (3x3, anchored on the conjugate of the witness frame, keyed on the
-        conjugate of the bracket table); on the line route the holomorphic
-        2x2 maps of conj(reduction.config) onto reduction.config.
+        Keyed on the conjugate of the bracket table, anchored on the
+        conjugate of the witness frame (3x3 maps of S) or of points 0, 1, 2
+        of reduction.config (2x2 maps of the line, symmetries of it).
         """
         if self.route == "tiny":
             return None
-        if self.route == "line":
-            line = self.reduction.config
-            return tuple(pgl2_equivalences(line.conj(), line, self.max_points))
-        table = self.brackets
-        maps = _keyed_equivalences(table.conj(), self.anchor, table)
+        anchor = self.anchor if self.route == "frame" else (0, 1, 2)
+        maps = _keyed_equivalences(self.brackets.conj(), anchor, self.brackets)
         return tuple(SemiProjMap.from_z(m.z, antiholo=True) for m in maps)
 
     @cached_property

@@ -14,6 +14,7 @@ the rational parts are gcd-reduced `Fraction`s with positive denominators.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -174,10 +175,14 @@ def _scan_rational(text, pos):
     m = _RATIONAL_RE.match(text, pos)
     if m is None:
         raise ParseError("expected a rational number", pos)
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # past the interpreter's int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer longer than {limit} digits", pos) from None
     if den == 0:
         raise ParseError("denominator must be positive", m.start(2))
-    return int(m.group(1)), den, m.end()
+    return num, den, m.end()
 
 
 def scan_gq(text: str):
@@ -205,7 +210,12 @@ def parse_gq(text: str) -> GaussianRational:
 
 def _format_ratio(num, den):
     g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise InvalidInputError(
+            f"an integer of the result is longer than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for writing integers as text") from None
 
 
 def format_zi(re: int, im: int, den: int) -> str:

@@ -151,6 +151,11 @@ def test_certificate_input_errors_are_typed():
     for refutation in (["x"], [{"element": element}], {"element": element}):
         with pytest.raises(InvalidInputError):
             certificate_from_json({"descends": False, "refutation": refutation})
+    # strings are not JSON booleans, and a route is one of the three names
+    for data in ({"descends": "false"}, {"descends": False, "fom_real": "false"},
+                 {"descends": False, "route": 7}):
+        with pytest.raises(InvalidInputError):
+            certificate_from_json(data)
 
 
 def test_descend_without_qi_model_exit_code(tmp_path, capsys):
@@ -174,6 +179,57 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert "error" in err
     code, _, err = run_cli(["classify", "--in", str(tmp_path / "nope.json")], capsys)
     assert code == 2
+
+
+def _assert_one_error_line(code, out, err, text):
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {text}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_input_file_that_is_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"points": ["(1:0:0)"], "note": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(["descend", "--in", str(bad)], capsys)
+    _assert_one_error_line(code, out, err, f"cannot read {bad}")
+
+
+def test_output_path_that_cannot_be_written_exit_code(tmp_path, capsys):
+    infile = write_config(tmp_path / "frame.json", ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])
+    outfile = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["descend", "--in", infile, "--out", str(outfile)], capsys)
+    _assert_one_error_line(code, out, err, f"cannot write {outfile}")
+
+
+def test_integer_past_the_digit_limit_in_input_exit_code(tmp_path, capsys):
+    point = "(" + "9" * 5000 + ":0:1)"
+    infile = write_config(tmp_path / "long.json", [point])
+    code, out, err = run_cli(["classify", "--in", infile], capsys)
+    _assert_one_error_line(code, out, err, f"point {point!r}, coordinate 1 ")
+    assert "digits" in err
+    # a JSON number that long stops the JSON reader itself
+    number = tmp_path / "number.json"
+    number.write_text('{"points": [' + "9" * 5000 + "]}", encoding="utf-8")
+    code, out, err = run_cli(["classify", "--in", str(number)], capsys)
+    _assert_one_error_line(code, out, err, f"cannot read {number}")
+
+
+def test_integer_past_the_digit_limit_in_output_exit_code(tmp_path, capsys):
+    # inputs of at most about 800 digits whose certificate needs longer integers
+    from planar_descent.cli import config_to_json
+    from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
+
+    e = 10 ** 399
+    twist = SemiProjMap(((f"{e + 1}+{e}i", e + 2, 3), (5, f"{e + 7}-{e}i", e + 11),
+                         (e + 13, 17, f"{e}+{e + 19}i")))
+    config = twist.apply(PointConfig([ProjPoint(1, 0, 0), ProjPoint(0, 1, 0),
+                                      ProjPoint(0, 0, 1), ProjPoint(1, 1, 1),
+                                      ProjPoint(1, 2, 3)]))
+    infile = tmp_path / "twisted.json"
+    infile.write_text(json.dumps(config_to_json(config)), encoding="utf-8")
+    code, out, err = run_cli(["descend", "--in", str(infile)], capsys)
+    _assert_one_error_line(code, out, err, "an integer of the result is longer than ")
+    assert "digits" in err
 
 
 def test_malformed_coordinate_exit_code(tmp_path, capsys):

@@ -623,20 +623,27 @@ def test_route_certificates_are_pinned(route, name):
 ])
 def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
     # the decisions on one object share its Symmetries: together they
-    # classify once and run conj(S) -> S and S -> S at most once each;
-    # each enumeration is recorded as whether it ran S -> S
-    classified, enumerated = [], []
+    # classify once, build one bracket table off the tiny route, and run
+    # conj(S) -> S and S -> S at most once each; each enumeration is
+    # recorded as whether it ran S -> S
+    classified, tabled, enumerated = [], [], []
     enumerate_maps = equivalence_module._keyed_equivalences
+    brackets = equivalence_module._brackets
 
     def counting_classify(config, *args):
         classified.append(config)
         return classify(config, *args)
+
+    def counting_brackets(points):
+        tabled.append(points)
+        return brackets(points)
 
     def counting_enumeration(source, anchor, target):
         enumerated.append(source is target)
         return enumerate_maps(source, anchor, target)
 
     monkeypatch.setattr(equivalence_module, "classify", counting_classify)
+    monkeypatch.setattr(equivalence_module, "_brackets", counting_brackets)
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting_enumeration)
     config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
     assert config.conj() != config
@@ -645,10 +652,12 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
     # a fresh, equal object builds its own result and counts again
     for subject in (config, PointConfig(config.points)):
         classified.clear()
+        tabled.clear()
         enumerated.clear()
         for decide in decisions + decisions:
             decide(subject)
         assert len(classified) == 1 and classified[0] is subject
+        assert len(tabled) == (0 if route == "tiny" else 1)
         assert enumerated == expected
 
 
@@ -687,3 +696,45 @@ def test_symmetric_decisions_leave_no_cyclic_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+# --- every output byte of a fixed input set ------------------------------------------
+
+
+def _pinned_inputs():
+    from planar_descent.families import FamilyParams, family, random_real_stable_config
+
+    inputs = []
+    for size in (1, 2, 3, 4, 5):
+        rng = random.Random(f"pinned:{size}")
+        for _ in range(40):
+            stable = random_real_stable_config(rng, size)
+            inputs.append(_random_twist(rng).apply(stable))
+    pool = ("2+1i", "3+2i")
+    for m in (1, 2):
+        for variant in ("S", "Sprime"):
+            inputs.append(family(FamilyParams(m, pool[:m], variant)))
+    return inputs + [PointConfig(STANDARD_FRAME.points)]
+
+
+# sha256 of the sorted-keys JSON dump of every record below; a change that
+# alters it on purpose must say so and why
+PINNED_OUTPUTS_SHA256 = "4740f12a6ace18c1044d8d2f7d0864eae771f92b173eaf28c41fde19117a0997"
+
+
+def test_decision_outputs_are_pinned():
+    from planar_descent.cli import map_to_json
+
+    records = []
+    for config in _pinned_inputs():
+        cert = descends_real(config)
+        _, witness = fom_real(config)
+        record = {
+            "certificate": certificate_to_json(cert),
+            "fom_witness": map_to_json(witness) if witness else None,
+        }
+        if cert.route == "frame":
+            record["normalizer"] = [map_to_json(g) for g in normalizer(config).elements]
+        records.append(record)
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTPUTS_SHA256

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from planar_descent.cli import certificate_from_json, certificate_to_json
 from planar_descent.descent import descends_real, fom_real, normalizer, real_model_check
-from planar_descent.equivalence import ConfigTag, aut_group, classify
+from planar_descent.equivalence import ConfigTag, Symmetries, aut_group, classify
 from planar_descent.errors import InvalidInputError
 from planar_descent.families import FamilyParams, family
 from planar_descent.gaussian import GaussianRational
@@ -81,9 +81,17 @@ def test_symmetries_invariant_under_twist_and_conjugation(base, data, twist, con
 
 def _decide(config):
     """The descent certificate, checked against `fom_real` and, when positive,
-    re-verified after a JSON round trip."""
+    re-verified after a JSON round trip; off the tiny route, every map that
+    `Symmetries` finds from conj(S) is an antiholomorphic symmetry of the
+    set it enumerates."""
     cert = descends_real(config)
     assert fom_real(config) == (cert.fom_real, cert.fom_witness)
+    sym = Symmetries.of(config)
+    if sym.route != "tiny":
+        enumerated = sym.reduction.config if sym.route == "line" else config
+        for g in sym.conjugate:
+            assert g.antiholo
+            assert g.apply(enumerated) == enumerated
     if cert.descends:
         data = json.loads(json.dumps(certificate_to_json(cert)))
         assert real_model_check(config, certificate_from_json(data)) == (True, None)
