@@ -4,7 +4,7 @@ Coordinates live in the Gaussian rationals Q(i); every verdict comes
 with a certificate that re-checks by exact arithmetic.
 """
 
-from .errors import InternalError, InvalidInputError, PlanarDescentError
+from .errors import InternalError, InvalidInputError, PlanarDescentError, TooManyPointsError
 from .gaussian import (
     GaussianRational,
     NotANormError,
@@ -28,7 +28,6 @@ from .equivalence import (
     ConfigTag,
     LineReduction,
     NeedsReductionError,
-    TooManyPointsError,
     TooSmallError,
     WrongClassError,
     aut_group,

@@ -5,13 +5,15 @@ coordinate in the exact Q(i) grammar ("2+1i", "-3/4", ...); maps as
 {"antiholo": bool, "matrix": [nine strings, row-major]}.  Output is
 deterministic: keys sorted, no timestamps, and every decision's output
 is a function of its input.  `--seed`, taken by `verify-paper` only,
-draws that command's random battery.
+draws that command's random battery.  The point guard is checked here
+only: a decision command refuses a configuration of more than `--max-n`
+points when it reads it (`_read_config`); the library has no guard.
 
 Exit codes: 0 success; 1 a verification run asserted something the
-mathematics refused; 2 invalid input, including an input file that
-cannot be read, an output path that cannot be written, and integers
-longer than the interpreter's limit for integer text; 3 internal
-invariant failure;
+mathematics refused; 2 invalid input, including a configuration past
+`--max-n`, an input file that cannot be read, an output path that cannot
+be written, and integers longer than the interpreter's limit for
+integer text; 3 internal invariant failure;
 4 the configuration descends over the reals, but no real model has
 Q(i) coordinates.
 """
@@ -22,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, TooManyPointsError
 from .gaussian import ParseError, format_gq, parse_gq, scan_gq
 from .equivalence import aut_group, classify, equivalences
 from .descent import (
@@ -39,6 +41,9 @@ from .families import (
     verify_paper,
 )
 from .plane import PointConfig, ProjPoint, SemiProjMap
+
+
+MAX_N = 20  # the default of --max-n
 
 
 # --- serialization ------------------------------------------------------------
@@ -226,7 +231,8 @@ def _load_json(path):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, or past the digit limit; RecursionError: nested too deep
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -242,17 +248,24 @@ def _emit(args, payload) -> None:
         sys.stdout.write(text)
 
 
+def _read_config(args, path) -> PointConfig:
+    """The configuration in the JSON file at path, refused past `--max-n` points."""
+    config = config_from_json(_load_json(path))
+    if len(config) > args.max_n:
+        raise TooManyPointsError(
+            f"{len(config)} points exceed the enumeration guard of {args.max_n}")
+    return config
+
+
 def _cmd_aut(args):
-    config = config_from_json(_load_json(args.infile))
-    maps = aut_group(config, args.max_n)
+    maps = aut_group(_read_config(args, args.infile))
     _emit(args, {"order": len(maps), "automorphisms": [map_to_json(g) for g in maps]})
     return 0
 
 
 def _cmd_equiv(args):
-    source = config_from_json(_load_json(args.infile))
-    target = config_from_json(_load_json(args.target))
-    maps = equivalences(source, target, args.max_n)
+    source = _read_config(args, args.infile)
+    maps = equivalences(source, _read_config(args, args.target))
     _emit(args, {
         "count": len(maps),
         "equivalences": [map_to_json(g) for g in maps],
@@ -261,14 +274,12 @@ def _cmd_equiv(args):
 
 
 def _cmd_classify(args):
-    config = config_from_json(_load_json(args.infile))
-    _emit(args, classification_to_json(classify(config, args.max_n)))
+    _emit(args, classification_to_json(classify(_read_config(args, args.infile))))
     return 0
 
 
 def _cmd_fom(args):
-    config = config_from_json(_load_json(args.infile))
-    verdict, witness = fom_real(config, args.max_n)
+    verdict, witness = fom_real(_read_config(args, args.infile))
     _emit(args, {
         "fom_real": verdict,
         "witness": map_to_json(witness) if witness else None,
@@ -277,15 +288,12 @@ def _cmd_fom(args):
 
 
 def _cmd_descend(args):
-    config = config_from_json(_load_json(args.infile))
-    cert = descends_real(config, args.max_n)
-    _emit(args, certificate_to_json(cert))
+    _emit(args, certificate_to_json(descends_real(_read_config(args, args.infile))))
     return 0
 
 
 def _cmd_normalizer(args):
-    config = config_from_json(_load_json(args.infile))
-    group = normalizer(config, args.max_n)
+    group = normalizer(_read_config(args, args.infile))
     _emit(args, {
         "order": group.order,
         "structure": group.structure,
@@ -310,7 +318,7 @@ def _cmd_family(args):
 def _parse_m_range(text):
     low, dots, high = text.partition("..")
     try:
-        m_values = tuple(range(int(low), int(high if dots else low) + 1))
+        m_values = range(int(low), int(high if dots else low) + 1)
     except ValueError:
         raise InvalidInputError(
             f"--m-range {text!r} is not an integer or a range like 1..3") from None
@@ -352,8 +360,8 @@ def _build_parser():
         if decision:
             p.add_argument("--in", dest="infile", required=True,
                            help="input configuration JSON")
-            p.add_argument("--max-n", dest="max_n", type=int, default=20,
-                           help="enumeration guard (default 20)")
+            p.add_argument("--max-n", dest="max_n", type=int, default=MAX_N,
+                           help=f"enumeration guard (default {MAX_N})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.set_defaults(func=func)
         return p

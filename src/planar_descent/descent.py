@@ -34,7 +34,7 @@ from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
 from .gaussian import GaussianRational, NotANormError, two_squares
-from .equivalence import MAX_POINTS, LineReduction, Symmetries, symmetry_permutations
+from .equivalence import LineReduction, Symmetries, symmetry_permutations
 from .plane import (
     ZIDENTITY,
     PointConfig,
@@ -119,7 +119,7 @@ def _element_order(perm, antiholo):
     return order
 
 
-def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerGroup:
+def normalizer(config: PointConfig) -> NormalizerGroup:
     """The group of all holomorphic and antiholomorphic symmetries of S.
 
     The holomorphic part is the automorphism group; the antiholomorphic
@@ -129,7 +129,7 @@ def normalizer(config: PointConfig, max_points: int = MAX_POINTS) -> NormalizerG
     (`symmetry_permutations`); that is exact because S has a frame, so
     a symmetry is determined by its permutation and its flag.
     """
-    sym = Symmetries.of(config, max_points)
+    sym = Symmetries.of(config)
     holos, antis = sym.holomorphic, sym.conjugate
     if antis and len(antis) != len(holos):
         raise InternalError("antiholomorphic part is not a coset")
@@ -355,14 +355,14 @@ def _descend_line(config, sym, witness):
 # --- public decision operations ---------------------------------------------------
 
 
-def fom_real(config: PointConfig, max_points: int = MAX_POINTS):
+def fom_real(config: PointConfig):
     """Is conj(S) linearly equivalent to S?  Returns (verdict, witness).
 
     The witness is an antiholomorphic symmetry of S: the least one for
     configurations with a frame, the lift of the least line-level map on
     the line route.  Its matrix carries conj(S) onto S.
     """
-    sym = Symmetries.of(config, max_points)
+    sym = Symmetries.of(config)
     if sym.route == "tiny":
         return True, _descend_tiny(config).fom_witness
     witness = _fom_witness(sym)
@@ -378,9 +378,9 @@ def _fom_witness(sym: Symmetries) -> Optional[SemiProjMap]:
     return sym.conjugate[0]
 
 
-def descends_real(config: PointConfig, max_points: int = MAX_POINTS) -> DescentCertificate:
+def descends_real(config: PointConfig) -> DescentCertificate:
     """Decide descent to the real projective plane, with a certificate."""
-    sym = Symmetries.of(config, max_points)
+    sym = Symmetries.of(config)
     if sym.route == "tiny":
         return _descend_tiny(config)
     witness = _fom_witness(sym)

@@ -64,9 +64,6 @@ from .plane import (
     zscale,
 )
 
-MAX_POINTS = 20
-
-
 class NeedsReductionError(InvalidInputError):
     """The operation needs a general-position 4-subset; route through reduce_to_line."""
 
@@ -77,10 +74,6 @@ class WrongClassError(InvalidInputError):
 
 class TooSmallError(InvalidInputError):
     """Fewer than three points on the line: the automorphism group is infinite."""
-
-
-class TooManyPointsError(InvalidInputError):
-    """Enumeration is guarded; exactness is kept by rejecting large inputs."""
 
 
 class ConfigTag(Enum):
@@ -100,14 +93,7 @@ class ConfigClass:
     residue: Optional[ProjPoint] = None
 
 
-def _guard(n, max_points):
-    if n > max_points:
-        raise TooManyPointsError(
-            f"{n} points exceed the enumeration guard of {max_points}"
-        )
-
-
-def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
+def classify(config: PointConfig) -> ConfigClass:
     """Sort a configuration into one of four mutually exclusive classes.
 
     Tiny: n <= 3.  HasFrame: some 4-subset in general position (the
@@ -116,7 +102,6 @@ def classify(config: PointConfig, max_points: int = MAX_POINTS) -> ConfigClass:
     line plus one point off it (LinePlusPoint); no further case exists.
     """
     n = len(config)
-    _guard(n, max_points)
     if len(config.points[0].z) != 6:
         raise InvalidInputError("classification needs points of the plane")
     if n <= 3:
@@ -252,19 +237,17 @@ def _keyed_equivalences(source, anchor, target):
 # --- equivalences and automorphisms --------------------------------------------
 
 
-def equivalences(source: PointConfig, target: PointConfig,
-                 max_points: int = MAX_POINTS):
+def equivalences(source: PointConfig, target: PointConfig):
     """Every g in PGL3 with g(source) = target, sorted by `SemiProjMap.key`.
 
     Requires a general-position 4-subset in the source (NeedsReductionError
     otherwise); the least one from `classify` anchors the keyed
     enumeration.  Different sizes yield the empty list.
     """
-    sym = Symmetries.of(source, max_points)
+    sym = Symmetries.of(source)
     anchor = sym.anchor
     if len(target.points[0].z) != 6:
         raise InvalidInputError("equivalences needs target points of the plane")
-    _guard(len(target), max_points)
     if len(source) != len(target):
         return []
     return _keyed_equivalences(sym.brackets, anchor, _brackets(target.points))
@@ -323,12 +306,12 @@ class Symmetries:
 
     `Symmetries.of(config)` is shared by every decision on one config
     object and lives as long as that object; there is no module-level
-    cache.  Each decision re-checks its own point guard, and the groups
-    are tuples.  It keeps no reference to the config, so no cycle forms.
+    cache.  The groups are tuples.  It keeps no reference to the config,
+    so no cycle forms.
     """
 
-    def __init__(self, config: PointConfig, max_points: int = MAX_POINTS):
-        self.cls = classify(config, max_points)
+    def __init__(self, config: PointConfig):
+        self.cls = classify(config)
         self.route = {ConfigTag.HAS_FRAME: "frame", ConfigTag.TINY: "tiny"}.get(
             self.cls.tag, "line")
         self.reduction = _reduce(config, self.cls) if self.route == "line" else None
@@ -336,14 +319,11 @@ class Symmetries:
         self.brackets = _brackets(enumerated.points) if self.route != "tiny" else None
 
     @classmethod
-    def of(cls, config: PointConfig, max_points: int = MAX_POINTS) -> "Symmetries":
-        """The Symmetries kept on config, built by the first call; the guard holds on each."""
-        sym = config._symmetries
-        if sym is None:
-            sym = config._symmetries = cls(config, max_points)
-        else:
-            _guard(len(config), max_points)
-        return sym
+    def of(cls, config: PointConfig) -> "Symmetries":
+        """The Symmetries kept on config, built by the first call."""
+        if config._symmetries is None:
+            config._symmetries = cls(config)
+        return config._symmetries
 
     @property
     def anchor(self):
@@ -381,16 +361,15 @@ class Symmetries:
         return maps
 
 
-def aut_group(config: PointConfig, max_points: int = MAX_POINTS):
+def aut_group(config: PointConfig):
     """The verified automorphism group (`Symmetries.holomorphic`), as a new list."""
-    return list(Symmetries.of(config, max_points).holomorphic)
+    return list(Symmetries.of(config).holomorphic)
 
 
 # --- the projective line --------------------------------------------------------
 
 
-def pgl2_equivalences(source: PointConfig, target: PointConfig,
-                      max_points: int = MAX_POINTS):
+def pgl2_equivalences(source: PointConfig, target: PointConfig):
     """Every holomorphic map of the line with g(source) = target, sorted by key.
 
     Any three distinct points are a frame on the line, so the first three
@@ -404,7 +383,6 @@ def pgl2_equivalences(source: PointConfig, target: PointConfig,
         raise TooSmallError(
             "configurations on the line need at least three points"
         )
-    _guard(max(len(source), len(target)), max_points)
     if len(source) != len(target):
         return []
     return _keyed_equivalences(_brackets(source.points), (0, 1, 2), _brackets(target.points))
@@ -441,9 +419,9 @@ class LineReduction:
         return zcolumns(self.basis + (self.off,))
 
 
-def reduce_to_line(config: PointConfig, max_points: int = MAX_POINTS) -> LineReduction:
+def reduce_to_line(config: PointConfig) -> LineReduction:
     """Rewrite a Collinear or LinePlusPoint configuration on the line itself."""
-    return _reduce(config, classify(config, max_points))
+    return _reduce(config, classify(config))
 
 
 def _reduce(config, cls):

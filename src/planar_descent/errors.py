@@ -16,3 +16,7 @@ class InvalidInputError(PlanarDescentError):
 
 class InternalError(PlanarDescentError):
     """An invariant the library guarantees failed to hold."""
+
+
+class TooManyPointsError(InvalidInputError):
+    """A configuration read by the CLI has more points than its `--max-n` guard."""

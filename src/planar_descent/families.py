@@ -48,6 +48,9 @@ DEFAULT_POOL = (
     GaussianRational(5, 1),
 )
 
+# the sizes of the positive battery: every n <= 5, where the paper says all descend
+BATTERY_SIZES = (1, 2, 3, 4, 5)
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -295,8 +298,7 @@ def _check_family_case(m, variant, config: PointConfig):
 
 
 def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
-                 battery_samples: int = 200,
-                 battery_sizes=(1, 2, 3, 4, 5)) -> PaperReport:
+                 battery_samples: int = 200) -> PaperReport:
     """Run the whole verification bundle.
 
     For each m, take the first m pool entries and check both variants:
@@ -308,31 +310,35 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
     random twists of conjugation-stable configurations of each small
     size, all of which must descend to a verified real model.  `seed`
     draws only those samples; every decision is a function of its input.
+    An m outside 1..len(pool) is refused before any family is built.
     """
     if battery_samples < 0:
         raise InvalidParameterError("battery samples must not be negative")
     pool = tuple(gq(x) for x in pool)
-    cases = []
+    params = []
     for m in m_values:
         if m > len(pool):
             raise InvalidParameterError(
                 f"m = {m} needs more parameters than the pool provides"
             )
-        configs = _variants(FamilyParams(m, pool[:m]))
+        params.append(FamilyParams(m, pool[:m]))
+    cases = []
+    for p in params:
+        configs = _variants(p)
         report = _certify_generic(configs)
         for variant, config in configs.items():
             if not report.generic:
                 cases.append(FamilyCase(
-                    m=m, variant=variant, n=len(config), generic=False,
+                    m=p.m, variant=variant, n=len(config), generic=False,
                     fom_real=False, fom_witness=None, normalizer_structure="",
                     normalizer_profile=(), certificate=None,
                     passed=True, skipped=True, failures=(),
                 ))
                 continue
-            cases.append(_check_family_case(m, variant, config))
+            cases.append(_check_family_case(p.m, variant, config))
 
     battery = []
-    for size in battery_sizes:
+    for size in BATTERY_SIZES:
         descended = 0
         failures = []
         for index in range(battery_samples):

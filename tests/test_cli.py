@@ -194,6 +194,14 @@ def test_input_file_that_is_not_utf8_exit_code(tmp_path, capsys):
     _assert_one_error_line(code, out, err, f"cannot read {bad}")
 
 
+@pytest.mark.parametrize("wrap", ["{}", '{{"points": {}}}'], ids=["top", "points"])
+def test_input_file_nested_too_deep_exit_code(tmp_path, capsys, wrap):
+    deep = tmp_path / "deep.json"
+    deep.write_text(wrap.format("[" * 100000 + "]" * 100000), encoding="utf-8")
+    code, out, err = run_cli(["descend", "--in", str(deep)], capsys)
+    _assert_one_error_line(code, out, err, f"cannot read {deep}")
+
+
 def test_output_path_that_cannot_be_written_exit_code(tmp_path, capsys):
     infile = write_config(tmp_path / "frame.json", ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])
     outfile = tmp_path / "missing" / "x.json"
@@ -282,6 +290,7 @@ def test_verify_paper_default_report_pinned(capsys, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["--m-range", "x"], ["--m-range", "1..y"], ["--m-range", "3..1"], ["--samples", "-1"],
+    ["--m-range", "1..1000000000000000", "--samples", "0"],
 ])
 def test_verify_paper_argument_errors_are_typed(capsys, args):
     code, out, err = run_cli(["verify-paper"] + args, capsys)
@@ -315,11 +324,18 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, args):
 def test_max_n_guard(tmp_path, capsys):
     many = [f"({k}:{k * k}:1)" for k in range(21)]
     infile = write_config(tmp_path / "many.json", many)
-    code, _, err = run_cli(["classify", "--in", infile], capsys)
-    assert code == 2 and "guard" in err
+    few = write_config(tmp_path / "few.json", many[:4])
+    guard = "21 points exceed the enumeration guard of 20"
+    for args in (["classify", "--in", infile], ["descend", "--in", infile],
+                 ["equiv", "--in", few, "--target", infile]):
+        code, out, err = run_cli(args, capsys)
+        _assert_one_error_line(code, out, err, guard)
     code, out, _ = run_cli(["classify", "--in", infile, "--max-n", "25"], capsys)
     assert code == 0
     assert json.loads(out)["class"] == "HasFrame"
+    code, out, _ = run_cli(["descend", "--in", infile, "--max-n", "25"], capsys)
+    assert code == 0
+    assert json.loads(out)["descends"] is True  # the points are real
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -19,7 +19,6 @@ from planar_descent.descent import (
 )
 from planar_descent.equivalence import (
     NeedsReductionError,
-    TooManyPointsError,
     aut_group,
     classify,
     equivalences,
@@ -659,16 +658,6 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
         assert len(classified) == 1 and classified[0] is subject
         assert len(tabled) == (0 if route == "tiny" else 1)
         assert enumerated == expected
-
-
-@pytest.mark.parametrize("route, name", [
-    ("line", "line_plus_point_descends"), ("frame", "refuted"),
-])
-def test_guard_is_rechecked_on_a_shared_result(route, name):
-    config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
-    descends_real(config)
-    with pytest.raises(TooManyPointsError):
-        descends_real(config, max_points=len(config) - 1)
 
 
 def test_mutating_aut_group_leaves_the_shared_group_intact():

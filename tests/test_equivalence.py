@@ -10,7 +10,6 @@ from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.equivalence import (
     ConfigTag,
     NeedsReductionError,
-    TooManyPointsError,
     TooSmallError,
     WrongClassError,
     aut_group,
@@ -150,9 +149,6 @@ def test_classify_two_lines_is_not_a_separate_class():
 
 
 def test_classify_guard():
-    config = PointConfig([pt(k, 1, 1) for k in range(21)])
-    with pytest.raises(TooManyPointsError):
-        classify(config)
     with pytest.raises(InvalidInputError):
         classify(PointConfig([ProjPoint(k, 1) for k in range(4)]))
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import planar_descent.equivalence as equivalence_module
+import planar_descent.families as families_module
 from planar_descent.gaussian import gq
 from planar_descent.families import (
     FamilyParams,
@@ -123,6 +124,26 @@ def test_verify_paper_enumerates_twice_per_family_case(monkeypatch):
     report = verify_paper(m_values=(1,), battery_samples=0)
     assert report.passed and len(report.cases) == 2
     assert len(calls) == 4
+
+
+def test_verify_paper_decides_families_past_twenty_points():
+    pool = ("2+1i", "3+2i", "5+1i", "4+1i", "5+2i", "6+1i", "7+2i", "8+3i")
+    report = verify_paper(m_values=(8,), pool=pool, battery_samples=0)
+    assert report.passed
+    assert [case.n for case in report.cases] == [20, 21]
+    assert all(case.generic and case.normalizer_structure == "C4" for case in report.cases)
+
+
+@pytest.mark.parametrize("m_values, message", [
+    (range(1, 6), "m = 4 needs more parameters"),
+    ((1, 0), "m must be at least 1"),
+])
+def test_verify_paper_refuses_a_bad_m_before_building_a_family(monkeypatch, m_values, message):
+    built = []
+    monkeypatch.setattr(families_module, "family", lambda params: built.append(params))
+    with pytest.raises(InvalidParameterError, match=message):
+        verify_paper(m_values=m_values, battery_samples=0)
+    assert built == []
 
 
 def test_verify_paper_empty_m_values():

@@ -1,8 +1,9 @@
 """The benchmark's traced and called names resolve in the package.
 
 `decision_bench/layers.py` wraps the functions listed in its WRAPPED table
-by name, with getattr; a renamed function would end `--trace 1` with an
-AttributeError.  `decision_bench/run.py`'s `Workload` calls the program's
+by name, with getattr, and reads other names as `self.package.<module>.<name>`;
+a renamed function would end `--trace 1` with an AttributeError.
+`decision_bench/run.py`'s `Workload` calls the program's
 functions directly (`self.descent.descends_real(config)`, ...); a renamed
 function or a changed signature would end every run.  Both are read from
 the files' source, without importing the benchmark.
@@ -36,6 +37,27 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module_name, attr)
+
+
+def _package_reads():
+    """(module, name) for each self.package.<module>.<name> in layers.py."""
+    tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
+    reads = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)):
+            continue
+        owner = node.value.value
+        if (isinstance(owner, ast.Attribute) and owner.attr == "package"
+                and isinstance(owner.value, ast.Name) and owner.value.id == "self"):
+            reads.add((node.value.attr, node.attr))
+    return reads
+
+
+def test_every_package_read_in_layers_resolves():
+    reads = _package_reads()
+    assert ("cli", "point_to_string") in reads
+    for module_name, name in reads:
+        getattr(importlib.import_module(f"planar_descent.{module_name}"), name)
 
 
 def _workload_uses():
