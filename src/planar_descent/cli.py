@@ -328,7 +328,7 @@ def _parse_m_range(text):
 
 
 def _cmd_verify_paper(args):
-    pool = _parse_pool(args.a) if args.a else DEFAULT_POOL
+    pool = _parse_pool(args.a) if args.a is not None else DEFAULT_POOL
     m_values = _parse_m_range(args.m_range)
     report = verify_paper(
         m_values=m_values,
@@ -341,6 +341,17 @@ def _cmd_verify_paper(args):
 
 
 # --- argument parsing -------------------------------------------------------------
+
+
+def _positive_int(text):
+    """argparse type of `--max-n`: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _build_parser():
@@ -360,7 +371,7 @@ def _build_parser():
         if decision:
             p.add_argument("--in", dest="infile", required=True,
                            help="input configuration JSON")
-            p.add_argument("--max-n", dest="max_n", type=int, default=MAX_N,
+            p.add_argument("--max-n", dest="max_n", type=_positive_int, default=MAX_N,
                            help=f"enumeration guard (default {MAX_N})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.set_defaults(func=func)

@@ -32,6 +32,29 @@ line, as configurations of two-coordinate points acted on by 2x2 maps.
 The enumeration runs on the normalized Gaussian-integer tuples that
 points and maps store (see `plane`): frames are tested and keyed, and
 accepted maps are built, with the integer kernels of `plane` alone.
+
+Before a target frame is keyed exactly it must pass a residue filter, a
+fingerprint in the manner of Karp and Rabin (1987) in front of the exact
+hashing.  P is a prime = 1 mod 4 and I a square root of -1 mod P, so
+a + bi -> a + bI is a ring map Z[i] -> F_P; its kernel is the prime
+p = (P, i - I).  The bracket table stores each bracket's image under it
+and under a + bi -> a - bI, and the conjugate table swaps the two.  The
+ratio x_2 / x_1 of a point t's frame coordinates is N / D with
+N = w_1 [.. t at 2 ..] and D = w_2 [.. t at 1 ..] (the other factors
+w_j cancel: they are nonzero).  A target frame is rejected at the first
+point t outside it whose residue ratio N / D mod p is none of the
+source's, over every ordering of the anchor; t with D = 0 mod p are
+skipped.  The filter never rejects a frame the exact check accepts.
+There, every such t has the key of a source point s in one ordering, so
+their coordinates are proportional: N_t D_s = N_s D_t in Z[i], hence
+mod p.  If D_t = 0 mod p, t is skipped.  Otherwise D_s != 0 exactly
+(D_s = 0 would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is
+nonzero mod p as well, the two residue ratios agree.  The one gap, a
+source D_s that is nonzero exactly but zero mod p, turns the filter off
+for the whole enumeration.  Rejecting a quad that is no frame changes
+nothing, since the exact check skips it.  So the filter changes no map
+and no order, only the number of frames keyed, and the source key sets
+are built only when the first frame passes.
 """
 
 from __future__ import annotations
@@ -43,6 +66,7 @@ from functools import cached_property, reduce
 from typing import NamedTuple, Optional
 
 from .errors import InternalError, InvalidInputError
+from .gaussian import _sqrt_minus_one
 from .plane import (
     ZIDENTITY,
     Line,
@@ -121,25 +145,36 @@ def classify(config: PointConfig) -> ConfigClass:
     raise InternalError("frameless configuration is neither collinear nor line-plus-point")
 
 
+# the prime of the residue filter (module docstring) and a square root of -1 mod it
+P = 1000000009
+I = _sqrt_minus_one(P)
+
+
 class _Brackets(NamedTuple):
-    """The points' Z[i] vectors, and rows[f][t] = [t, *f] for each ordered (d-1)-tuple f."""
+    """The points' Z[i] vectors, and rows[f][t] = [t, *f] for each ordered (d-1)-tuple f.
+
+    residues[f][t] and conj_residues[f][t] are the images of rows[f][t]
+    in F_P under a + bi -> a + bI and a + bi -> a - bI.
+    """
 
     vectors: tuple
     rows: dict
+    residues: dict
+    conj_residues: dict
 
     def conj(self) -> "_Brackets":
         """The conjugate points' table, in the same index order, one tuple per entry value."""
         conj = {x: (x[0], -x[1]) for row in self.rows.values() for x in row}
         rows = {f: list(map(conj.__getitem__, row)) for f, row in self.rows.items()}
-        return _Brackets(zconj(self.vectors), rows)
+        return _Brackets(zconj(self.vectors), rows, self.conj_residues, self.residues)
 
 
-# whether each ordering of a d-subset, in itertools.permutations order, is even
-_EVEN = {2: (True, False), 3: (True, False, False, True, True, False)}
+# the parity of each ordering of a d-subset, in itertools.permutations order
+_ODD = {2: (0, 1), 3: (0, 1, 1, 0, 0, 1)}
 
 
 def _brackets(points) -> _Brackets:
-    """Every d x d determinant of the points, each computed once.
+    """Every d x d determinant of the points, each computed once, with its residues.
 
     [i, *rest] is point i dotted with the cross product of the (d - 1)
     points rest (on the line, (b, -a) for the point (a:b)); it is taken
@@ -147,7 +182,11 @@ def _brackets(points) -> _Brackets:
     """
     vectors = tuple(p.z for p in points)
     n, d = len(vectors), len(vectors[0]) // 2
-    rows = {f: [(0, 0)] * n for f in itertools.permutations(range(n), d - 1)}
+    orderings = list(itertools.permutations(range(n), d - 1))
+    rows = {f: [(0, 0)] * n for f in orderings}
+    residues = {f: [0] * n for f in orderings}
+    conj_residues = {f: [0] * n for f in orderings}
+    entries = {f: (rows[f], residues[f], conj_residues[f]) for f in orderings}
     for rest in itertools.combinations(range(n), d - 1):
         if d == 3:
             cross = zcross(vectors[rest[0]], vectors[rest[1]])
@@ -156,10 +195,13 @@ def _brackets(points) -> _Brackets:
             cross = (br, bi, -ar, -ai)
         for i in range(rest[0]):
             det = zmatvec((cross,), vectors[i])
-            negated = (-det[0], -det[1])
-            for (t, *f), even in zip(itertools.permutations((i,) + rest), _EVEN[d]):
-                rows[tuple(f)][t] = det if even else negated
-    return _Brackets(vectors, rows)
+            r, rc = (det[0] + det[1] * I) % P, (det[0] - det[1] * I) % P
+            signed = (det, r, rc), ((-det[0], -det[1]), -r % P, -rc % P)
+            for ordering, odd in zip(itertools.permutations((i,) + rest), _ODD[d]):
+                t = ordering[0]
+                row, residue, conj_residue = entries[ordering[1:]]
+                row[t], residue[t], conj_residue[t] = signed[odd]
+    return _Brackets(vectors, rows, residues, conj_residues)
 
 
 def _frame_coordinates(rows, frame):
@@ -190,31 +232,90 @@ def _frame_matrix(vectors, frame, u):
     return zcolumns([zscale(x, vectors[f]) for x, f in zip(u, frame)])
 
 
+def _residue_slots(residues, frame):
+    """(slot_0, slot_1, u_0, u_1) of an ordered frame, as in `_frame_coordinates`, mod P."""
+    base, last = frame[:-1], frame[-1]
+    s0, s1 = residues[base[1:]], residues[base[2:] + base[:1]]
+    return s0, s1, s0[last], s1[last]
+
+
+def _source_ratios(source, anchor, others):
+    """The residue ratios N / D (module docstring) of the other source points, all orderings.
+
+    Points with D = 0 exactly are left out; None (no filter) if some
+    other point has D nonzero exactly but zero mod p.  The denominators
+    are inverted together, with one modular inverse of their product.
+    """
+    numerators, denominators = [], []
+    for frame in itertools.permutations(anchor):
+        s0, s1, u0, u1 = _residue_slots(source.residues, frame)
+        exact = source.rows[frame[1:-1]]
+        for t in others:
+            if exact[t] != (0, 0):
+                numerators.append(u0 * s1[t])
+                denominators.append(u1 * s0[t])
+    prefix = [1]
+    for den in denominators:
+        prefix.append(prefix[-1] * den % P)
+    if not prefix[-1]:
+        return None
+    inverse = pow(prefix[-1], -1, P)
+    ratios = set()
+    for k in range(len(denominators) - 1, -1, -1):
+        ratios.add(numerators[k] * prefix[k] * inverse % P)
+        inverse = inverse * denominators[k] % P
+    return ratios
+
+
+def _rejects(residues, frame, ratios):
+    """Whether some point outside the frame has a residue ratio N / D outside ratios."""
+    s0, s1, u0, u1 = _residue_slots(residues, frame)
+    for t in range(len(s0)):
+        if t not in frame:
+            den = u1 * s0[t] % P
+            if den and u0 * s1[t] * pow(den, -1, P) % P not in ratios:
+                return True
+    return False
+
+
+def _source_key_sets(source, anchor, others):
+    """{key set of the other points: [(ordering, u)]} over every ordering of anchor."""
+    by_keys = {}
+    for frame in itertools.permutations(anchor):
+        slots, u, scales = _frame_coordinates(source.rows, frame)
+        keys = frozenset(_key(slots, scales, t) for t in others)
+        by_keys.setdefault(keys, []).append((frame, u))
+    return by_keys
+
+
 def _keyed_equivalences(source, anchor, target):
     """Every g with g(source) = target, as SemiProjMaps sorted by key.
 
     source and target are bracket tables of equally many distinct points
     of one dimension d; anchor indexes d + 1 source points forming a frame.
     Frame points have the standard keys in every frame, so only the other
-    points are keyed, and a key in no source key set rejects a frame.
+    points are keyed.  A target frame is keyed only if it passes the
+    residue filter (module docstring), and a key in no source key set
+    rejects it.
     """
     adjugate = zadjugate2 if len(anchor) == 3 else zadjugate3
-    by_keys = {}
-    others = [t for t in range(len(source.vectors)) if t not in anchor]
-    for frame in itertools.permutations(anchor):
-        slots, u, scales = _frame_coordinates(source.rows, frame)
-        keys = frozenset(_key(slots, scales, t) for t in others)
-        by_keys.setdefault(keys, []).append((frame, u))
-
-    source_keys = frozenset().union(*by_keys)
+    n = len(target.vectors)
+    others = [t for t in range(n) if t not in anchor]
+    ratios = _source_ratios(source, anchor, others) if others else None
+    by_keys = None
     found = []
-    for frame in itertools.combinations(range(len(target.vectors)), len(anchor)):
+    for frame in itertools.combinations(range(n), len(anchor)):
+        if ratios is not None and _rejects(target.residues, frame, ratios):
+            continue
         coordinates = _frame_coordinates(target.rows, frame)
         if coordinates is None:
             continue
+        if by_keys is None:
+            by_keys = _source_key_sets(source, anchor, others)
+            source_keys = frozenset().union(*by_keys)
         slots, u, scales = coordinates
         frame_keys = set()
-        for t in range(len(target.vectors)):
+        for t in range(n):
             if t not in frame:
                 k = _key(slots, scales, t)
                 if k not in source_keys:

@@ -300,6 +300,25 @@ def test_verify_paper_argument_errors_are_typed(capsys, args):
     assert "Traceback" not in err
 
 
+def test_verify_paper_refuses_an_empty_pool(capsys):
+    code, out, err = run_cli(["verify-paper", "--a", "", "--samples", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_n", ["-5", "0"])
+def test_max_n_must_be_a_positive_integer(tmp_path, capsys, max_n):
+    infile = write_config(tmp_path / "frame.json",
+                          ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])
+    with pytest.raises(SystemExit) as exc:
+        main(["descend", "--in", infile, "--max-n", max_n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-n" in captured.err and "enumeration guard" not in captured.err
+
+
 def test_verify_paper_accepts_zero_samples(capsys):
     code, out, _ = run_cli(["verify-paper", "--m-range", "1", "--samples", "0"], capsys)
     assert code == 0

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 import planar_descent.equivalence as equivalence_module
+from planar_descent.descent import descends_real
 from planar_descent.errors import InternalError, InvalidInputError
-from planar_descent.gaussian import GaussianRational, gq
+from planar_descent.families import DEFAULT_POOL, FamilyParams, family
+from planar_descent.gaussian import GaussianRational, _is_prime, gq
 from planar_descent.equivalence import (
     ConfigTag,
     NeedsReductionError,
@@ -28,6 +30,7 @@ from planar_descent.plane import (
     line_through,
     zconj,
     znormal,
+    zscale,
 )
 
 
@@ -738,3 +741,99 @@ def test_bracket_keys_do_not_depend_on_the_anchor(name):
             == expected["self"], anchor
         assert tuple(equivalence_module._keyed_equivalences(table.conj(), anchor, table)) \
             == expected["conj"], anchor
+
+
+# --- the residue filter in front of the exact keys ------------------------------------
+
+
+def test_filter_prime_has_a_square_root_of_minus_one():
+    p, i = equivalence_module.P, equivalence_module.I
+    assert p % 4 == 1 and _is_prime(p)
+    assert (i * i + 1) % p == 0
+
+
+class _Scaled:
+    """A point whose stored vector is z times the Gaussian integer c, not normalized."""
+
+    def __init__(self, point, c):
+        self.z = zscale(c, point.z)
+
+
+def _filter_cases():
+    """(name, source table, anchor, target table), with tables built under the current P."""
+    brackets = equivalence_module._brackets
+    cases = []
+
+    def both_ways(name, points, anchor):
+        table = brackets(points)
+        cases.append((name + " self", table, anchor, table))
+        cases.append((name + " conj", table.conj(), anchor, table))
+
+    generic = _random_config(random.Random(5), 11)
+    twisted = _random_twist(random.Random(6)).apply(generic)
+    anchor = equivalence_module.Symmetries(generic).anchor
+    cases.append(("generic pair", brackets(generic.points), anchor, brackets(twisted.points)))
+    both_ways("generic", generic.points, anchor)
+    for m in (1, 2, 3):
+        for variant in ("S", "Sprime"):
+            config = family(FamilyParams(m, DEFAULT_POOL[:m], variant))
+            both_ways(f"{variant} m={m}", config.points,
+                      equivalence_module.Symmetries(config).anchor)
+    for name, config in (("frame48", STANDARD_FRAME),
+                          ("twisted frame", _random_twist(random.Random(7)).apply(FAMILY_F))):
+        both_ways(name, config.points, (0, 1, 2, 3))
+    collinear_set = PointConfig([pt(k, 1, 2 * k) for k in range(6)])
+    line_plus_point = PointConfig([pt(k, k * k + 1, 0) for k in range(5)] + [pt(0, 0, 1)])
+    for name, config in (("collinear", collinear_set), ("line plus point", line_plus_point)):
+        both_ways(name, reduce_to_line(config).config.points, (0, 1, 2))
+    # (P, I) = (13, 5) maps 3 + 2i to 0, so every residue of the scaled
+    # table vanishes: the filter is off when it is the source, and skips
+    # every point when it is the target
+    small = _random_config(random.Random(4), 5)
+    scaled = [_Scaled(p, (3, 2)) for p in small.points]
+    anchor = equivalence_module.Symmetries(small).anchor
+    cases.append(("scaled source", brackets(scaled), anchor, brackets(small.points)))
+    cases.append(("scaled target", brackets(small.points), anchor, brackets(scaled)))
+    return cases
+
+
+def _filtered_enumerations(monkeypatch, p, i):
+    monkeypatch.setattr(equivalence_module, "P", p)
+    monkeypatch.setattr(equivalence_module, "I", i)
+    return {name: tuple(equivalence_module._keyed_equivalences(source, anchor, target))
+            for name, source, anchor, target in _filter_cases()}
+
+
+def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
+    default = (equivalence_module.P, equivalence_module.I)
+    expected = _filtered_enumerations(monkeypatch, *default)
+    assert expected["generic pair"] and expected["S m=3 conj"]
+    assert expected["frame48 self"] and expected["collinear conj"]
+    for p, i in ((5, 2), (13, 5), default):
+        assert _filtered_enumerations(monkeypatch, p, i) == expected, (p, i)
+    small = _random_config(random.Random(4), 5)
+    assert expected["scaled source"] == expected["scaled target"] == tuple(aut_group(small))
+    # under (13, 5) a residue of small's table vanishes only with its
+    # bracket, and every residue of the scaled table vanishes
+    monkeypatch.setattr(equivalence_module, "P", 13)
+    monkeypatch.setattr(equivalence_module, "I", 5)
+    table = equivalence_module._brackets(small.points)
+    assert all((x == (0, 0)) == (r == 0) for f, row in table.rows.items()
+               for x, r in zip(row, table.residues[f]))
+    table = equivalence_module._brackets([_Scaled(p, (3, 2)) for p in small.points])
+    assert not any(any(row) for row in table.residues.values())
+
+
+def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
+    # 330 target quads and 24 source orderings are keyed without the filter
+    frame_coordinates = equivalence_module._frame_coordinates
+    calls = []
+
+    def counted(rows, frame):
+        calls.append(frame)
+        return frame_coordinates(rows, frame)
+
+    monkeypatch.setattr(equivalence_module, "_frame_coordinates", counted)
+    config = _random_config(random.Random(11), 11)
+    assert not descends_real(config).descends
+    assert len(calls) <= 25
