@@ -12,18 +12,18 @@ of the target points written in Q, and each ordering whose key set is
 Q's gives a map.  The search is exact and complete, and one keyed
 enumeration serves both dimensions.
 
-Frame coordinates come from one table of brackets, the d x d
-determinants [i j k] (on the line [i j]) of the points, each computed
-once.  For an ordered frame f_1..f_d, f_{d+1}, let w_k be the bracket of
-f_1..f_d with f_k replaced by f_{d+1}.  Coordinate k of a point t is
+Frame coordinates come from brackets, the d x d determinants [i j k]
+(on the line [i j]) of the points.  For an ordered frame f_1..f_d,
+f_{d+1}, let w_k be the bracket of f_1..f_d with f_k replaced by
+f_{d+1}.  Coordinate k of a point t is
 (prod over j != k of w_j) * [f_1..f_d with f_k replaced by t]: this is
 adj(M) . t for the frame matrix M with columns w_k f_k, since by Cramer's
 rule entry k of M^-1 . t is [.. t at k ..] / (w_k [f_1..f_d]) and
 det M = [f_1..f_d] * prod w_j.  A key is the normal form of that vector.
-The table stores brackets with t first, [t, f_{k+1}, .., f_{k+d-1}]
-(indices mod d).  In the plane that is a cyclic shift; on the line it
-negates every coordinate and column 2 of both frame matrices alike, which
-changes no key and no map.  conj(S)'s table is the entrywise conjugate.
+Brackets are read with t first, [t, f_{k+1}, .., f_{k+d-1}] (indices
+mod d).  In the plane that is a cyclic shift; on the line it negates
+every coordinate and column 2 of both frame matrices alike, which
+changes no key and no map.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
@@ -37,24 +37,40 @@ Before a target frame is keyed exactly it must pass a residue filter, a
 fingerprint in the manner of Karp and Rabin (1987) in front of the exact
 hashing.  P is a prime = 1 mod 4 and I a square root of -1 mod P, so
 a + bi -> a + bI is a ring map Z[i] -> F_P; its kernel is the prime
-p = (P, i - I).  The bracket table stores each bracket's image under it
-and under a + bi -> a - bI, and the conjugate table swaps the two.  The
-ratio x_2 / x_1 of a point t's frame coordinates is N / D with
-N = w_1 [.. t at 2 ..] and D = w_2 [.. t at 1 ..] (the other factors
-w_j cancel: they are nonzero).  A target frame is rejected at the first
-point t outside it whose residue ratio N / D mod p is none of the
-source's, over every ordering of the anchor; t with D = 0 mod p are
-skipped.  The filter never rejects a frame the exact check accepts.
-There, every such t has the key of a source point s in one ordering, so
-their coordinates are proportional: N_t D_s = N_s D_t in Z[i], hence
-mod p.  If D_t = 0 mod p, t is skipped.  Otherwise D_s != 0 exactly
-(D_s = 0 would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is
-nonzero mod p as well, the two residue ratios agree.  The one gap, a
-source D_s that is nonzero exactly but zero mod p, turns the filter off
-for the whole enumeration.  Rejecting a quad that is no frame changes
-nothing, since the exact check skips it.  So the filter changes no map
-and no order, only the number of frames keyed, and the source key sets
-are built only when the first frame passes.
+p = (P, i - I).  The ratio x_2 / x_1 of a point t's frame coordinates
+is N / D with N = w_1 [.. t at 2 ..] and D = w_2 [.. t at 1 ..] (the
+other factors w_j cancel: they are nonzero).  Written with the rows
+s_k[t] = [t, f_{k+1}, .., f_{k+d-1}] and u_k = s_k[f_{d+1}], that is
+N / D = u_0 s_1[t] / (u_1 s_0[t]), which does not change when a row is
+negated.  So the filter reads one residue row per unordered
+(d - 1)-subset of points, up to sign, built from each point's images in
+F_P under a + bi -> a + bI and a + bi -> a - bI (the conjugate points'
+table swaps the two), with the row's inverses found by one modular
+inverse.
+
+The source's ratios are kept per ordering sigma of the anchor: the mask
+of a residue ratio has the bit of sigma when it is the ratio of some
+other source point in sigma; points with D = 0 exactly are left out.
+A target frame starts with every bit and, at each point t outside it
+with D_t != 0 mod p, keeps those of the mask of t's ratio; it is
+rejected once no bit is left.  The filter never drops an ordering sigma
+that matches the frame exactly.  There, every such t has the key of a
+source point s in sigma, so their coordinates are proportional:
+N_t D_s = N_s D_t in Z[i], hence mod p.  D_s != 0 exactly (D_s = 0
+would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is nonzero
+mod p as well, the two residue ratios agree, so sigma's bit survives t.
+The one gap, a source D_s (or u_1) that is nonzero exactly but zero mod
+p, turns the filter off for the whole enumeration.  Rejecting a quad
+that is no frame changes nothing, since the exact check skips it.  So
+the filter changes no map and no order.  A frame that passes is keyed
+exactly and matched only against the orderings left in its mask, each
+keyed at most once per enumeration.
+
+Exact brackets are computed only where they are read: the rows of a
+target frame that passes, those of a keyed ordering of the anchor, and
+a source bracket whose residue is 0 mod p, to tell D_s = 0 from the
+gap.  Each determinant of sorted points is computed at most once per
+table and kept there; the conjugate points' table reads them conjugated.
 """
 
 from __future__ import annotations
@@ -63,7 +79,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import InternalError, InvalidInputError
 from .gaussian import _sqrt_minus_one
@@ -78,7 +94,8 @@ from .plane import (
     zadjugate3,
     zcolumns,
     zconj,
-    zcross,
+    zdet2,
+    zdet3,
     zgeneral_position,
     zmatmul,
     zmatvec,
@@ -150,69 +167,115 @@ P = 1000000009
 I = _sqrt_minus_one(P)
 
 
-class _Brackets(NamedTuple):
-    """The points' Z[i] vectors, and rows[f][t] = [t, *f] for each ordered (d-1)-tuple f.
+class _Brackets:
+    """The brackets of n points of dimension d: row f holds [t, *f] for every point t.
 
-    residues[f][t] and conj_residues[f][t] are the images of rows[f][t]
-    in F_P under a + bi -> a + bI and a + bi -> a - bI.
+    f is a (d - 1)-tuple of points, and each row is built when it is
+    first read and kept on the table.  `residue_row` holds the images of
+    a row in F_P under a + bi -> a + bI, read from the points' own
+    images, and `exact_row` its Gaussian integers, each determinant of
+    the table computed once.  `conj()` is the table of the conjugate
+    points: it swaps each point's two images in F_P and reads its exact
+    rows conjugated from this table.
     """
 
-    vectors: tuple
-    rows: dict
-    residues: dict
-    conj_residues: dict
+    __slots__ = ("vectors", "_images", "_conjugate_of", "_residues", "_exact", "_dets")
+
+    def __init__(self, vectors, images, conjugate_of=None):
+        self.vectors = vectors
+        self._images = images
+        self._conjugate_of = conjugate_of
+        self._residues, self._exact, self._dets = {}, {}, {}
 
     def conj(self) -> "_Brackets":
-        """The conjugate points' table, in the same index order, one tuple per entry value."""
-        conj = {x: (x[0], -x[1]) for row in self.rows.values() for x in row}
-        rows = {f: list(map(conj.__getitem__, row)) for f, row in self.rows.items()}
-        return _Brackets(zconj(self.vectors), rows, self.conj_residues, self.residues)
+        """The conjugate points' table, in the same index order; it copies no row."""
+        return _Brackets(zconj(self.vectors), self._images[::-1], self)
+
+    def residue_row(self, f):
+        """(residues, inverses): [t, *f] mod p up to sign, and their inverses (0 for 0).
+
+        Both orderings of f share one row: the residue filter reads ratios
+        in which a row's sign cancels.
+        """
+        row = self._residues.get(f)
+        if row is None:
+            images, p = self._images[0], P
+            if len(f) == 2:
+                (a, b, c), (x, y, z) = images[f[0]], images[f[1]]
+                u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
+                residues = [(u * r + v * s + w * t) % p for r, s, t in images]
+            else:
+                x, y = images[f[0]]
+                residues = [(r * y - s * x) % p for r, s in images]
+            row = self._residues[f] = self._residues[f[::-1]] = residues, _inverses(residues)
+        return row
+
+    def exact_row(self, f):
+        """[t, *f] in Z[i] for every t, for any ordering f of d - 1 points."""
+        row = self._exact.get(f)
+        if row is None:
+            if self._conjugate_of is not None:
+                row = [(x, -y) for x, y in self._conjugate_of.exact_row(f)]
+            elif len(f) == 2 and f[0] > f[1]:
+                row = [(-x, -y) for x, y in self.exact_row(f[::-1])]
+            else:
+                row = self._bracket_row(f)
+            self._exact[f] = row
+        return row
+
+    def _bracket_row(self, rest):
+        """`exact_row` for sorted rest, from the determinants of sorted points."""
+        vectors, dets = self.vectors, self._dets
+        det = zdet3 if len(rest) == 2 else zdet2
+        bits = sum(1 << r for r in rest)  # dets is keyed by the bitmask of the points
+        row = []
+        below = 0  # the points of rest below t: [t, *rest] = (-1)^below det(sorted)
+        for t in range(len(vectors)):
+            if below < len(rest) and rest[below] == t:
+                below += 1
+                row.append((0, 0))
+                continue
+            x = dets.get(bits | 1 << t)
+            if x is None:
+                subset = rest[:below] + (t,) + rest[below:]
+                x = dets[bits | 1 << t] = det(*map(vectors.__getitem__, subset))
+            row.append((-x[0], -x[1]) if below & 1 else x)
+        return row
 
 
-# the parity of each ordering of a d-subset, in itertools.permutations order
-_ODD = {2: (0, 1), 3: (0, 1, 1, 0, 0, 1)}
+def _inverses(values):
+    """The inverse mod P of each value (0 for 0), with one modular inverse for all."""
+    p, prefixes, product = P, [], 1
+    for x in values:
+        prefixes.append(product)
+        if x:
+            product = product * x % p
+    inverse = pow(product, -1, p)
+    inverses = [0] * len(values)
+    for t in range(len(values) - 1, -1, -1):
+        if values[t]:
+            inverses[t] = prefixes[t] * inverse % p
+            inverse = inverse * values[t] % p
+    return inverses
 
 
 def _brackets(points) -> _Brackets:
-    """Every d x d determinant of the points, each computed once, with its residues.
-
-    [i, *rest] is point i dotted with the cross product of the (d - 1)
-    points rest (on the line, (b, -a) for the point (a:b)); it is taken
-    for i below rest and written, with its sign, under every ordering.
-    """
+    """The bracket table of the points, from their images in F_P under a + bi -> a +- bI."""
     vectors = tuple(p.z for p in points)
-    n, d = len(vectors), len(vectors[0]) // 2
-    orderings = list(itertools.permutations(range(n), d - 1))
-    rows = {f: [(0, 0)] * n for f in orderings}
-    residues = {f: [0] * n for f in orderings}
-    conj_residues = {f: [0] * n for f in orderings}
-    entries = {f: (rows[f], residues[f], conj_residues[f]) for f in orderings}
-    for rest in itertools.combinations(range(n), d - 1):
-        if d == 3:
-            cross = zcross(vectors[rest[0]], vectors[rest[1]])
-        else:
-            ar, ai, br, bi = vectors[rest[0]]
-            cross = (br, bi, -ar, -ai)
-        for i in range(rest[0]):
-            det = zmatvec((cross,), vectors[i])
-            r, rc = (det[0] + det[1] * I) % P, (det[0] - det[1] * I) % P
-            signed = (det, r, rc), ((-det[0], -det[1]), -r % P, -rc % P)
-            for ordering, odd in zip(itertools.permutations((i,) + rest), _ODD[d]):
-                t = ordering[0]
-                row, residue, conj_residue = entries[ordering[1:]]
-                row[t], residue[t], conj_residue[t] = signed[odd]
-    return _Brackets(vectors, rows, residues, conj_residues)
+    images = [[[(v[j] + sign * v[j + 1] * I) % P for j in range(0, len(v), 2)] for v in vectors]
+              for sign in (1, -1)]
+    return _Brackets(vectors, images)
 
 
-def _frame_coordinates(rows, frame):
+def _frame_coordinates(table, frame):
     """(slots, u, scales) of an ordered frame (module docstring), or None if no frame.
 
-    slots[k] is the row of (f_{k+1}, ..., f_{k+d-1}), indices mod d, and
-    u[k] = slots[k][f_{d+1}]; coordinate k of t is scales[k] * slots[k][t].
+    slots[k] is the exact row of (f_{k+1}, ..., f_{k+d-1}), indices mod d,
+    and u[k] = slots[k][f_{d+1}]; coordinate k of t is scales[k] * slots[k][t].
     """
     base, last = frame[:-1], frame[-1]
     d = len(base)
-    slots = [rows[base[k + 1:] + base[:k]] for k in range(d)]
+    slots = [table.exact_row(base[k + 1:] + base[:k]) for k in range(d)]
     u = [slot[last] for slot in slots]
     if slots[0][base[0]] == (0, 0) or (0, 0) in u:
         return None
@@ -232,60 +295,70 @@ def _frame_matrix(vectors, frame, u):
     return zcolumns([zscale(x, vectors[f]) for x, f in zip(u, frame)])
 
 
-def _residue_slots(residues, frame):
-    """(slot_0, slot_1, u_0, u_1) of an ordered frame, as in `_frame_coordinates`, mod P."""
-    base, last = frame[:-1], frame[-1]
-    s0, s1 = residues[base[1:]], residues[base[2:] + base[:1]]
-    return s0, s1, s0[last], s1[last]
+def _residue_rows(table, base):
+    """The residue rows of slot_0 and slot_1 (`_frame_coordinates`) of a frame on base."""
+    return table.residue_row(base[1:]), table.residue_row(base[2:] + base[:1])
 
 
-def _source_ratios(source, anchor, others):
-    """The residue ratios N / D (module docstring) of the other source points, all orderings.
+def _source_masks(source, orderings, others):
+    """{residue ratio N / D (module docstring): bitmask of the orderings giving it}.
 
-    Points with D = 0 exactly are left out; None (no filter) if some
-    other point has D nonzero exactly but zero mod p.  The denominators
-    are inverted together, with one modular inverse of their product.
+    Bit j stands for orderings[j] of the anchor, and its ratios are those
+    of the other source points.  Points with D = 0 exactly are left out;
+    None (no filter) if some D is nonzero exactly but zero mod p.
     """
-    numerators, denominators = [], []
-    for frame in itertools.permutations(anchor):
-        s0, s1, u0, u1 = _residue_slots(source.residues, frame)
-        exact = source.rows[frame[1:-1]]
+    masks = {}
+    for bit, frame in enumerate(orderings):
+        (s0, inverses0), (s1, inverses1) = _residue_rows(source, frame[:-1])
+        last = frame[-1]
+        if not inverses1[last]:
+            return None  # u_1 is nonzero exactly, since the anchor is a frame
+        c = s0[last] * inverses1[last] % P
         for t in others:
-            if exact[t] != (0, 0):
-                numerators.append(u0 * s1[t])
-                denominators.append(u1 * s0[t])
-    prefix = [1]
-    for den in denominators:
-        prefix.append(prefix[-1] * den % P)
-    if not prefix[-1]:
-        return None
-    inverse = pow(prefix[-1], -1, P)
-    ratios = set()
-    for k in range(len(denominators) - 1, -1, -1):
-        ratios.add(numerators[k] * prefix[k] * inverse % P)
-        inverse = inverse * denominators[k] % P
-    return ratios
+            if inverses0[t]:
+                ratio = c * s1[t] * inverses0[t] % P
+                masks[ratio] = masks.get(ratio, 0) | 1 << bit
+            elif source.exact_row(frame[1:-1])[t] != (0, 0):
+                return None
+    return masks
 
 
-def _rejects(residues, frame, ratios):
-    """Whether some point outside the frame has a residue ratio N / D outside ratios."""
-    s0, s1, u0, u1 = _residue_slots(residues, frame)
-    for t in range(len(s0)):
-        if t not in frame:
-            den = u1 * s0[t] % P
-            if den and u0 * s1[t] * pow(den, -1, P) % P not in ratios:
-                return True
-    return False
+def _filtered_frames(target, d, masks, every):
+    """(frame, mask) for each target frame, in combinations order, with the orderings it leaves.
+
+    mask starts as every and loses, at each point t outside the frame with
+    D nonzero mod p, the orderings whose ratio sets lack t's N / D
+    (module docstring); a frame is dropped once it has none left.  With
+    no masks (filter off) every frame leaves every ordering.
+    """
+    n = len(target.vectors)
+    if masks is None:
+        for frame in itertools.combinations(range(n), d + 1):
+            yield frame, every
+        return
+    p, ratio_mask = P, masks.get
+    for base in itertools.combinations(range(n - 1), d):
+        first = base[0]
+        (s0, inverses0), (s1, inverses1) = _residue_rows(target, base)
+        for last in range(base[-1] + 1, n):
+            if not inverses1[last]:  # u_1 = 0 mod p, so every D is
+                yield base + (last,), every
+                continue
+            mask = every
+            c = s0[last] * inverses1[last] % p
+            for t, inverse in enumerate(inverses0):
+                if inverse and t != first and t != last:
+                    mask &= ratio_mask(c * s1[t] * inverse % p, 0)
+                    if not mask:
+                        break
+            else:
+                yield base + (last,), mask
 
 
-def _source_key_sets(source, anchor, others):
-    """{key set of the other points: [(ordering, u)]} over every ordering of anchor."""
-    by_keys = {}
-    for frame in itertools.permutations(anchor):
-        slots, u, scales = _frame_coordinates(source.rows, frame)
-        keys = frozenset(_key(slots, scales, t) for t in others)
-        by_keys.setdefault(keys, []).append((frame, u))
-    return by_keys
+def _source_keys(source, ordering, others):
+    """(key set of the other points, u) in one ordering of the anchor."""
+    slots, u, scales = _frame_coordinates(source, ordering)
+    return frozenset([_key(slots, scales, t) for t in others]), u
 
 
 def _keyed_equivalences(source, anchor, target):
@@ -294,40 +367,36 @@ def _keyed_equivalences(source, anchor, target):
     source and target are bracket tables of equally many distinct points
     of one dimension d; anchor indexes d + 1 source points forming a frame.
     Frame points have the standard keys in every frame, so only the other
-    points are keyed.  A target frame is keyed only if it passes the
-    residue filter (module docstring), and a key in no source key set
-    rejects it.
+    points are keyed.  A target frame is keyed only if some ordering of
+    the anchor survives the residue filter (module docstring), and it is
+    matched only against the orderings that survive, each keyed once.
     """
-    adjugate = zadjugate2 if len(anchor) == 3 else zadjugate3
+    d = len(anchor) - 1
+    adjugate = zadjugate2 if d == 2 else zadjugate3
     n = len(target.vectors)
     others = [t for t in range(n) if t not in anchor]
-    ratios = _source_ratios(source, anchor, others) if others else None
-    by_keys = None
+    orderings = list(itertools.permutations(anchor))
+    masks = _source_masks(source, orderings, others) if others else None
+    source_keys = {}  # bit -> `_source_keys` of orderings[bit]
     found = []
-    for frame in itertools.combinations(range(n), len(anchor)):
-        if ratios is not None and _rejects(target.residues, frame, ratios):
-            continue
-        coordinates = _frame_coordinates(target.rows, frame)
+    for frame, mask in _filtered_frames(target, d, masks, (1 << len(orderings)) - 1):
+        coordinates = _frame_coordinates(target, frame)
         if coordinates is None:
             continue
-        if by_keys is None:
-            by_keys = _source_key_sets(source, anchor, others)
-            source_keys = frozenset().union(*by_keys)
         slots, u, scales = coordinates
-        frame_keys = set()
-        for t in range(n):
-            if t not in frame:
-                k = _key(slots, scales, t)
-                if k not in source_keys:
-                    break
-                frame_keys.add(k)
-        else:
-            matches = by_keys.get(frozenset(frame_keys))
-            if matches:
-                z_frame = _frame_matrix(target.vectors, frame, u)
-                for source_frame, source_u in matches:
-                    z_source = _frame_matrix(source.vectors, source_frame, source_u)
-                    found.append(zmatmul(z_frame, adjugate(z_source)))
+        keys = frozenset([_key(slots, scales, t) for t in range(n) if t not in frame])
+        z_frame = None
+        for bit, ordering in enumerate(orderings):
+            if not mask >> bit & 1:
+                continue
+            if bit not in source_keys:
+                source_keys[bit] = _source_keys(source, ordering, others)
+            ordering_keys, source_u = source_keys[bit]
+            if ordering_keys != keys:
+                continue
+            z_frame = z_frame or _frame_matrix(target.vectors, frame, u)
+            z_source = _frame_matrix(source.vectors, ordering, source_u)
+            found.append(zmatmul(z_frame, adjugate(z_source)))
 
     maps = sorted((SemiProjMap.from_z(g) for g in found), key=SemiProjMap.key)
     if len(set(maps)) != len(maps):
@@ -402,8 +471,9 @@ class Symmetries:
     collinear or a line plus a point, read on its line as `reduction`) or
     "tiny" (at most three points).  Off the tiny route one bracket table
     is built, of S or of `reduction.config`, and conj(S) -> S is read from
-    it and its entrywise conjugate on both routes.  Reading only
-    `conjugate` never enumerates S -> S.
+    it and its conjugate, which takes its exact brackets from it, on both
+    routes.  The table keeps the rows it builds, so S -> S reuses them.
+    Reading only `conjugate` never enumerates S -> S.
 
     `Symmetries.of(config)` is shared by every decision on one config
     object and lives as long as that object; there is no module-level

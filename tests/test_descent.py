@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import planar_descent.equivalence as equivalence_module
 from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError, InvalidInputError
+from planar_descent.families import FamilyParams, family
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.descent import (
     NotACocycleError,
@@ -660,6 +662,24 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
         assert enumerated == expected
 
 
+def test_symmetric_decisions_take_each_exact_bracket_once(monkeypatch):
+    # conj(S) -> S and S -> S read one table of S, the conjugate table
+    # reads its exact brackets from it, and no determinant of three
+    # points is taken twice
+    taken = []
+    det = equivalence_module.zdet3
+
+    def counting(*vectors):
+        taken.append(vectors)
+        return det(*vectors)
+
+    monkeypatch.setattr(equivalence_module, "zdet3", counting)
+    config = family(FamilyParams(2, ("2+1i", "3+2i"), "S"))
+    for decide in (fom_real, normalizer, descends_real):
+        decide(config)
+    assert taken and len(set(taken)) == len(taken) <= math.comb(len(config), 3)
+
+
 def test_mutating_aut_group_leaves_the_shared_group_intact():
     config = PointConfig(STANDARD_FRAME.points)
     aut_group(config).clear()
@@ -691,7 +711,7 @@ def test_symmetric_decisions_leave_no_cyclic_garbage():
 
 
 def _pinned_inputs():
-    from planar_descent.families import FamilyParams, family, random_real_stable_config
+    from planar_descent.families import random_real_stable_config
 
     inputs = []
     for size in (1, 2, 3, 4, 5):

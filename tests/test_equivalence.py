@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import zi_oracle
 import planar_descent.equivalence as equivalence_module
 from planar_descent.descent import descends_real
 from planar_descent.errors import InternalError, InvalidInputError
@@ -67,10 +68,6 @@ def matmul(a, b):
         tuple(sum((a[r][k] * b[k][c] for k in range(1, n)), a[r][0] * b[0][c]) for c in range(n))
         for r in range(n)
     )
-
-
-def matvec(m, v):
-    return tuple(sum((row[k] * v[k] for k in range(1, len(v))), row[0] * v[0]) for row in m)
 
 
 def conj_matrix(m):
@@ -259,56 +256,18 @@ def _random_twist(rng):
             return SemiProjMap(rows)
 
 
-def _frame_rows(quad):
-    """Rows of the frame matrix (columns d_k * v_k), or None if degenerate."""
-    v1, v2, v3, v4 = (p.coords for p in quad)
-    if not det3((v1, v2, v3)):
-        return None
-    d1 = det3((v4, v2, v3))
-    d2 = det3((v1, v4, v3))
-    d3 = det3((v1, v2, v4))
-    if not d1 or not d2 or not d3:
-        return None
-    return tuple((d1 * v1[r], d2 * v2[r], d3 * v3[r]) for r in range(3))
+def _pairs(v):
+    """A flat Z[i] tuple as the Z[i] oracle reads it: a tuple of (re, im) pairs."""
+    return tuple(zip(v[0::2], v[1::2]))
 
 
-def brute_force_equivalences(source, target):
-    """Two-sided enumeration: every source 4-subset anchors a full search.
-
-    Every general-position 4-subset of the source is used as the anchor
-    (in canonical order: the 24 orderings of the anchor add nothing, as
-    composing with a permutation re-lands among the enumerated target
-    tuples).  All anchors must agree, which checks that the library's
-    fixed-witness choice is irrelevant.
-    """
-    target_set = set(target.points)
-    image_rows = [
-        rows
-        for rows in map(_frame_rows, itertools.permutations(target.points, 4))
-        if rows is not None
-    ]
-    results = None
-    for quad in itertools.combinations(source.points, 4):
-        rows = _frame_rows(quad)
-        if rows is None:
-            continue
-        anchor_adjugate = adjugate(rows)
-        # anchor points land on the image tuple by construction; probe the rest
-        quad_set = set(quad)
-        probes = [
-            matvec(anchor_adjugate, p.coords)
-            for p in source.points
-            if p not in quad_set
-        ]
-        found = set()
-        for img in image_rows:
-            if all(ProjPoint(*matvec(img, w)) in target_set for w in probes):
-                found.add(SemiProjMap(matmul(img, anchor_adjugate)).key())
-        keys = sorted(found)
-        assert results is None or keys == results, "anchor choice changed the answer"
-        results = keys
-    assert results is not None
-    return results
+def assert_matches_brute_force(fast, source, target):
+    """fast is sorted by key and holds exactly the maps of the two-sided Z[i] oracle."""
+    assert fast == sorted(fast, key=SemiProjMap.key)
+    normal = sorted(zi_oracle.normal_matrix(tuple(map(_pairs, g.z))) for g in fast)
+    brute = zi_oracle.brute_force_equivalences([_pairs(p.z) for p in source.points],
+                                               [_pairs(p.z) for p in target.points])
+    assert normal == brute
 
 
 def test_equivalences_match_brute_force():
@@ -325,8 +284,7 @@ def test_equivalences_match_brute_force():
             fast = equivalences(source, target)
         except NeedsReductionError:
             continue
-        brute = brute_force_equivalences(source, target)
-        assert [m.key() for m in fast] == brute
+        assert_matches_brute_force(fast, source, target)
         checked += 1
     assert checked >= 50
 
@@ -346,7 +304,7 @@ def test_equivalences_match_brute_force():
     counts = []
     for source, target in pairs:
         fast = equivalences(source, target)
-        assert [m.key() for m in fast] == brute_force_equivalences(source, target)
+        assert_matches_brute_force(fast, source, target)
         counts.append(len(fast))
     assert counts == [24, 24, 2, 2, 2, 8, 8]
 
@@ -769,16 +727,24 @@ def _filter_cases():
         cases.append((name + " self", table, anchor, table))
         cases.append((name + " conj", table.conj(), anchor, table))
 
+    def pair(name, config, rng):
+        twisted = _random_twist(rng).apply(config)
+        anchor = equivalence_module.Symmetries(config).anchor
+        cases.append((name + " pair", brackets(config.points), anchor, brackets(twisted.points)))
+        return anchor
+
     generic = _random_config(random.Random(5), 11)
-    twisted = _random_twist(random.Random(6)).apply(generic)
-    anchor = equivalence_module.Symmetries(generic).anchor
-    cases.append(("generic pair", brackets(generic.points), anchor, brackets(twisted.points)))
-    both_ways("generic", generic.points, anchor)
+    both_ways("generic", generic.points, pair("generic", generic, random.Random(6)))
     for m in (1, 2, 3):
         for variant in ("S", "Sprime"):
             config = family(FamilyParams(m, DEFAULT_POOL[:m], variant))
             both_ways(f"{variant} m={m}", config.points,
                       equivalence_module.Symmetries(config).anchor)
+    # a source table that is not the target's (S twisted), and a set whose
+    # eight symmetries give many anchor orderings one ratio set
+    pair("S m=2", family(FamilyParams(2, DEFAULT_POOL[:2], "S")), random.Random(8))
+    square16 = PointConfig(FAMILY_F.points + (pt(0, 0, 1),))
+    both_ways("square16", square16.points, equivalence_module.Symmetries(square16).anchor)
     for name, config in (("frame48", STANDARD_FRAME),
                           ("twisted frame", _random_twist(random.Random(7)).apply(FAMILY_F))):
         both_ways(name, config.points, (0, 1, 2, 3))
@@ -794,6 +760,12 @@ def _filter_cases():
     anchor = equivalence_module.Symmetries(small).anchor
     cases.append(("scaled source", brackets(scaled), anchor, brackets(small.points)))
     cases.append(("scaled target", brackets(small.points), anchor, brackets(scaled)))
+    # only the last point scaled: (13, 5) gives it D = 0 mod p at the
+    # matching frames, while the filter is on
+    s_1 = family(FamilyParams(1, DEFAULT_POOL[:1], "S"))
+    one_scaled = list(s_1.points[:-1]) + [_Scaled(s_1.points[-1], (3, 2))]
+    cases.append(("one scaled point", brackets(s_1.points),
+                  equivalence_module.Symmetries(s_1).anchor, brackets(one_scaled)))
     return cases
 
 
@@ -809,19 +781,29 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     expected = _filtered_enumerations(monkeypatch, *default)
     assert expected["generic pair"] and expected["S m=3 conj"]
     assert expected["frame48 self"] and expected["collinear conj"]
+    assert len(expected["S m=2 pair"]) == 2 and len(expected["square16 conj"]) == 8
     for p, i in ((5, 2), (13, 5), default):
         assert _filtered_enumerations(monkeypatch, p, i) == expected, (p, i)
     small = _random_config(random.Random(4), 5)
     assert expected["scaled source"] == expected["scaled target"] == tuple(aut_group(small))
-    # under (13, 5) a residue of small's table vanishes only with its
-    # bracket, and every residue of the scaled table vanishes
+    assert expected["one scaled point"] == expected["S m=1 self"]
+    # under (13, 5), in small's table and its conjugate, each row of
+    # residues is the image of the exact row or of its negative, a residue
+    # vanishes only with its bracket, and the inverses are right; every
+    # residue of the scaled table vanishes
     monkeypatch.setattr(equivalence_module, "P", 13)
     monkeypatch.setattr(equivalence_module, "I", 5)
     table = equivalence_module._brackets(small.points)
-    assert all((x == (0, 0)) == (r == 0) for f, row in table.rows.items()
-               for x, r in zip(row, table.residues[f]))
+    rests = list(itertools.permutations(range(5), 2))
+    for tab in (table, table.conj()):
+        for f in rests:
+            residues, inverses = tab.residue_row(f)
+            images = [(x + y * 5) % 13 for x, y in tab.exact_row(f)]
+            assert residues in (images, [-r % 13 for r in images]), f
+            assert all((x == (0, 0)) == (r == 0) for x, r in zip(tab.exact_row(f), residues))
+            assert [r * v % 13 for r, v in zip(residues, inverses)] == [int(r != 0) for r in residues]
     table = equivalence_module._brackets([_Scaled(p, (3, 2)) for p in small.points])
-    assert not any(any(row) for row in table.residues.values())
+    assert not any(any(table.residue_row(f)[0]) for f in rests)
 
 
 def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
@@ -829,11 +811,30 @@ def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
     frame_coordinates = equivalence_module._frame_coordinates
     calls = []
 
-    def counted(rows, frame):
+    def counted(table, frame):
         calls.append(frame)
-        return frame_coordinates(rows, frame)
+        return frame_coordinates(table, frame)
 
     monkeypatch.setattr(equivalence_module, "_frame_coordinates", counted)
     config = _random_config(random.Random(11), 11)
     assert not descends_real(config).descends
     assert len(calls) <= 25
+
+
+def test_source_keying_is_pruned_to_the_matching_ordering(monkeypatch):
+    # a descending generic input keys its one matching target frame and
+    # the one anchor ordering that matches it, n - 4 points each; keying
+    # every ordering made n - 4 + 24 (n - 4) keys
+    key = equivalence_module._key
+    calls = []
+
+    def counted(slots, scales, t):
+        calls.append(t)
+        return key(slots, scales, t)
+
+    monkeypatch.setattr(equivalence_module, "_key", counted)
+    rng = random.Random(12)
+    config = _random_twist(rng).apply(_random_config(rng, 11, real=True))
+    assert descends_real(config).descends
+    assert 0 < len(calls) <= 2 * (len(config) - 4)
+    assert len(aut_group(config)) == 1
