@@ -20,8 +20,11 @@ positive certificate is built in one place from its splitter B.
 
 Each decision is a view of the `Symmetries` result kept on its
 configuration object (`Symmetries.of`, see `equivalence`), which
-classifies S once and enumerates conj(S) -> S and S -> S at most once
-each, on first use; all decisions asked of one object share it.
+classifies S once and enumerates conj(S) -> S at most once, on first
+use, and S -> S at most once, only where Aut(S) cannot be read off that
+coset; all decisions asked of one object share it.  Every decision reads
+the coset first, so fom_real, normalizer and descends_real together make
+one enumeration when conj(S) is equivalent to S.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
 from .gaussian import GaussianRational, NotANormError, two_squares
-from .equivalence import LineReduction, Symmetries, symmetry_permutations
+from .equivalence import LineReduction, Symmetries
 from .plane import (
     ZIDENTITY,
     PointConfig,
@@ -125,25 +128,20 @@ def normalizer(config: PointConfig) -> NormalizerGroup:
     The holomorphic part is the automorphism group; the antiholomorphic
     part collects (A, anti) for every A carrying conj(S) onto S, and is
     empty or a coset of the holomorphic part.  Closure, inverses and
-    element orders are checked on the point permutations
-    (`symmetry_permutations`); that is exact because S has a frame, so
-    a symmetry is determined by its permutation and its flag.
+    element orders are checked on the point permutations, once per
+    configuration (`Symmetries.group`); that is exact because S has a
+    frame, so a symmetry is determined by its permutation and its flag.
     """
     sym = Symmetries.of(config)
-    holos, antis = sym.holomorphic, sym.conjugate
-    if antis and len(antis) != len(holos):
-        raise InternalError("antiholomorphic part is not a coset")
-    elements = sorted(holos + antis, key=SemiProjMap.key)
-    pairs = symmetry_permutations(config, elements)
+    elements, pairs = sym.group
     profile = tuple(sorted(_element_order(p, a) for p, a in pairs))
-    structure = _STRUCTURES.get(profile, "other")
     return NormalizerGroup(
-        elements=tuple(elements),
-        holomorphic=holos,
-        antiholomorphic=antis,
+        elements=elements,
+        holomorphic=sym.holomorphic,
+        antiholomorphic=sym.conjugate,
         order=len(elements),
         order_profile=profile,
-        structure=structure,
+        structure=_STRUCTURES.get(profile, "other"),
     )
 
 

@@ -66,11 +66,30 @@ the filter changes no map and no order.  A frame that passes is keyed
 exactly and matched only against the orderings left in its mask, each
 keyed at most once per enumeration.
 
+The filter also drops the target quads that are no frame, so none is
+built exactly only to be refused.  A quad on the base (f_1, .., f_d)
+with last point l is a frame exactly when its d + 1 brackets are
+nonzero: [f_1 .. f_d] = s_0[f_1], u_0 = s_0[l], u_1 = s_1[l] and, in the
+plane, u_2 = [l f_1 f_2].  The filter reads the first three mod p on the
+rows it builds anyway.  Where one is 0 mod p, that one determinant is
+tested exactly, and the base (all its quads) or the quad is dropped only
+if it is 0 exactly.  A quad whose bracket is 0 mod p but not exactly
+goes on as before: u_0 = 0 mod p makes every residue ratio 0, and
+u_1 = 0 mod p makes every D 0, so the quad keeps every ordering.  u_2
+has no residue row and is tested exactly on the quads that pass.  Each
+quad dropped is no frame, so, as above, no map and no order changes.
+
 Exact brackets are computed only where they are read: the rows of a
-target frame that passes, those of a keyed ordering of the anchor, and
-a source bracket whose residue is 0 mod p, to tell D_s = 0 from the
-gap.  Each determinant of sorted points is computed at most once per
-table and kept there; the conjugate points' table reads them conjugated.
+target frame that passes, those of a keyed ordering of the anchor, a
+source bracket whose residue is 0 mod p, to tell D_s = 0 from the gap,
+and the target brackets that decide whether a quad is a frame.  Each
+determinant of sorted points is computed at most once per table and
+kept there; the conjugate points' table reads them conjugated, and
+tests its quads with its parent's determinants.
+
+A configuration's symmetries are found once (`Symmetries`): the coset
+conj(S) -> S by one enumeration, and Aut(S), when that coset is not
+empty, read off it rather than enumerated.
 """
 
 from __future__ import annotations
@@ -174,9 +193,10 @@ class _Brackets:
     first read and kept on the table.  `residue_row` holds the images of
     a row in F_P under a + bi -> a + bI, read from the points' own
     images, and `exact_row` its Gaussian integers, each determinant of
-    the table computed once.  `conj()` is the table of the conjugate
-    points: it swaps each point's two images in F_P and reads its exact
-    rows conjugated from this table.
+    the table computed once; `vanishes` tests one determinant against 0
+    from the same store.  `conj()` is the table of the conjugate points:
+    it swaps each point's two images in F_P and reads its exact rows, and
+    its zero tests, from this table.
     """
 
     __slots__ = ("vectors", "_images", "_conjugate_of", "_residues", "_exact", "_dets")
@@ -223,11 +243,22 @@ class _Brackets:
             self._exact[f] = row
         return row
 
+    def vanishes(self, points):
+        """Whether the points (d of them, increasing) have determinant 0, computed once."""
+        if self._conjugate_of is not None:
+            return self._conjugate_of.vanishes(points)
+        bits = sum(1 << k for k in points)  # dets is keyed by the bitmask of the points
+        x = self._dets.get(bits)
+        if x is None:
+            det = zdet3 if len(points) == 3 else zdet2
+            x = self._dets[bits] = det(*map(self.vectors.__getitem__, points))
+        return x == (0, 0)
+
     def _bracket_row(self, rest):
         """`exact_row` for sorted rest, from the determinants of sorted points."""
         vectors, dets = self.vectors, self._dets
         det = zdet3 if len(rest) == 2 else zdet2
-        bits = sum(1 << r for r in rest)  # dets is keyed by the bitmask of the points
+        bits = sum(1 << r for r in rest)
         row = []
         below = 0  # the points of rest below t: [t, *rest] = (-1)^below det(sorted)
         for t in range(len(vectors)):
@@ -329,29 +360,38 @@ def _filtered_frames(target, d, masks, every):
     mask starts as every and loses, at each point t outside the frame with
     D nonzero mod p, the orderings whose ratio sets lack t's N / D
     (module docstring); a frame is dropped once it has none left.  With
-    no masks (filter off) every frame leaves every ordering.
+    the filter on, a quad with a bracket 0 exactly is no frame and is
+    dropped too, so every quad yielded is a frame.  With no masks
+    (filter off) every quad leaves every ordering.
     """
     n = len(target.vectors)
     if masks is None:
         for frame in itertools.combinations(range(n), d + 1):
             yield frame, every
         return
-    p, ratio_mask = P, masks.get
+    p, ratio_mask, vanishes = P, masks.get, target.vanishes
     for base in itertools.combinations(range(n - 1), d):
         first = base[0]
         (s0, inverses0), (s1, inverses1) = _residue_rows(target, base)
+        if not inverses0[first] and vanishes(base):
+            continue  # [a b c] = 0: no quad on this base is a frame
+        rest, around = base[1:], base[:1] + base[2:]
         for last in range(base[-1] + 1, n):
-            if not inverses1[last]:  # u_1 = 0 mod p, so every D is
-                yield base + (last,), every
-                continue
+            if not s0[last] and vanishes(rest + (last,)):
+                continue  # u_0 = 0
             mask = every
-            c = s0[last] * inverses1[last] % p
-            for t, inverse in enumerate(inverses0):
-                if inverse and t != first and t != last:
-                    mask &= ratio_mask(c * s1[t] * inverse % p, 0)
-                    if not mask:
-                        break
+            if not inverses1[last]:  # u_1 = 0 mod p, so every D is
+                if vanishes(around + (last,)):
+                    continue
             else:
+                c = s0[last] * inverses1[last] % p
+                for t, inverse in enumerate(inverses0):
+                    if inverse and t != first and t != last:
+                        mask &= ratio_mask(c * s1[t] * inverse % p, 0)
+                        if not mask:
+                            break
+            # in the plane, u_2 = [l a b] is tested exactly once the quad has passed
+            if mask and (d == 2 or not vanishes(base[:2] + (last,))):
                 yield base + (last,), mask
 
 
@@ -361,8 +401,8 @@ def _source_keys(source, ordering, others):
     return frozenset([_key(slots, scales, t) for t in others]), u
 
 
-def _keyed_equivalences(source, anchor, target):
-    """Every g with g(source) = target, as SemiProjMaps sorted by key.
+def _keyed_equivalences(source, anchor, target, antiholo=False):
+    """Every g with g(source) = target, as SemiProjMaps with flag antiholo sorted by key.
 
     source and target are bracket tables of equally many distinct points
     of one dimension d; anchor indexes d + 1 source points forming a frame.
@@ -398,7 +438,7 @@ def _keyed_equivalences(source, anchor, target):
             z_source = _frame_matrix(source.vectors, ordering, source_u)
             found.append(zmatmul(z_frame, adjugate(z_source)))
 
-    maps = sorted((SemiProjMap.from_z(g) for g in found), key=SemiProjMap.key)
+    maps = sorted((SemiProjMap.from_z(g, antiholo) for g in found), key=SemiProjMap.key)
     if len(set(maps)) != len(maps):
         raise InternalError("duplicate maps in equivalence enumeration")
     return maps
@@ -423,22 +463,18 @@ def equivalences(source: PointConfig, target: PointConfig):
     return _keyed_equivalences(sym.brackets, anchor, _brackets(target.points))
 
 
-def symmetry_permutations(config: PointConfig, maps):
+def _permutation_pairs(points, maps):
     """The (permutation, antiholo) pair of each map, verified to form a group.
 
-    Entry k of a permutation indexes the image of config.points[k].
-    Raises InternalError unless every map permutes the points and the
-    pairs are distinct, contain the identity, and are closed under
-    inverse and composition, (p, a) . (q, b) = (p o q, a xor b).  This
-    is exact for configurations with a frame: a holomorphic map fixing
-    every point is the identity, so the pair determines the symmetry.
-    The flag is needed because conjugation fixes a real set pointwise.
+    points are the Z[i] vectors of a configuration, and entry k of a
+    permutation indexes the image of points[k].  Raises InternalError
+    unless every map permutes the points and the pairs are distinct,
+    contain the identity, and are closed under inverse and composition,
+    (p, a) . (q, b) = (p o q, a xor b).  This is exact for configurations
+    with a frame: a holomorphic map fixing every point is the identity,
+    so the pair determines the symmetry.  The flag is needed because
+    conjugation fixes a real set pointwise.
     """
-    return _permutation_pairs([p.z for p in config.points], maps)
-
-
-def _permutation_pairs(points, maps):
-    """`symmetry_permutations` on the points' Z[i] vectors."""
     conj_points = [zconj(v) for v in points]
     index = {v: k for k, v in enumerate(points)}
     n = len(points)
@@ -464,7 +500,7 @@ def _permutation_pairs(points, maps):
 
 
 class Symmetries:
-    """The symmetries of one configuration S, each enumerated once, on first use.
+    """The symmetries of one configuration S, each found once, on first use.
 
     S is classified on construction; `route` is "frame" (a general-position
     4-subset, the witness frame, anchors the enumerations), "line" (S is
@@ -473,7 +509,13 @@ class Symmetries:
     is built, of S or of `reduction.config`, and conj(S) -> S is read from
     it and its conjugate, which takes its exact brackets from it, on both
     routes.  The table keeps the rows it builds, so S -> S reuses them.
-    Reading only `conjugate` never enumerates S -> S.
+
+    Aut(S) takes no enumeration of its own when the coset conj(S) -> S is
+    already known and not empty (`holomorphic`), so the decisions that read
+    the coset first (`fom_real`, `descends_real`, `normalizer`) make one
+    keyed enumeration per configuration.  `group` checks Aut(S) and the
+    coset together, once.  Reading only `conjugate` never enumerates
+    S -> S, and reading only `holomorphic` never enumerates the coset.
 
     `Symmetries.of(config)` is shared by every decision on one config
     object and lives as long as that object; there is no module-level
@@ -488,6 +530,7 @@ class Symmetries:
         self.reduction = _reduce(config, self.cls) if self.route == "line" else None
         enumerated = self.reduction.config if self.reduction else config
         self.brackets = _brackets(enumerated.points) if self.route != "tiny" else None
+        self._group = None
 
     @classmethod
     def of(cls, config: PointConfig) -> "Symmetries":
@@ -516,20 +559,57 @@ class Symmetries:
         if self.route == "tiny":
             return None
         anchor = self.anchor if self.route == "frame" else (0, 1, 2)
-        maps = _keyed_equivalences(self.brackets.conj(), anchor, self.brackets)
-        return tuple(SemiProjMap.from_z(m.z, antiholo=True) for m in maps)
+        return tuple(_keyed_equivalences(self.brackets.conj(), anchor, self.brackets, True))
 
     @cached_property
     def holomorphic(self):
         """Aut(S) sorted by key, verified to be a group on the point permutations.
 
-        `symmetry_permutations` is exact because S has a frame; off the
+        If `conjugate` is already read and not empty, Aut(S) is read off
+        it: the coset is Aut(S) tau_0 for any of its elements tau_0 =
+        A_0 conj, so Aut(S) = {A_k adj(A_0)} over its matrices A_k
+        (A_k A_0^-1 up to scalar), sorted by key as the S -> S enumeration
+        returns them, and checked with the coset (`group`).  Otherwise
+        S -> S is enumerated, and checked alone unless the coset is known
+        to be empty.  The check is exact because S has a frame; off the
         frame route this raises NeedsReductionError.
         """
         anchor = self.anchor
-        maps = tuple(_keyed_equivalences(self.brackets, anchor, self.brackets))
-        _permutation_pairs(self.brackets.vectors, maps)
+        coset = self.__dict__.get("conjugate")  # only if already enumerated
+        if coset:
+            adjugate = zadjugate3(coset[0].z)
+            maps = tuple(sorted([SemiProjMap.from_z(zmatmul(a.z, adjugate)) for a in coset],
+                                key=SemiProjMap.key))
+        else:
+            maps = tuple(_keyed_equivalences(self.brackets, anchor, self.brackets))
+        if coset is None:
+            _permutation_pairs(self.brackets.vectors, maps)
+        else:
+            self._group = self._checked(maps, coset)
         return maps
+
+    @property
+    def group(self):
+        """(elements, pairs): Aut(S) and the coset sorted by key, with their `_permutation_pairs`.
+
+        The coset is read before Aut(S), so that Aut(S) is read off it and
+        the whole group is checked once.  If Aut(S) was read first, the
+        coset must have its size or be empty.  NeedsReductionError off the
+        frame route.
+        """
+        self.anchor  # NeedsReductionError off the frame route, before any enumeration
+        coset = self.conjugate
+        holos = self.holomorphic
+        if self._group is None:  # Aut(S) came first and was checked alone
+            if coset and len(coset) != len(holos):
+                raise InternalError("antiholomorphic part is not a coset")
+            self._group = self._checked(holos, coset)
+        return self._group
+
+    def _checked(self, holos, coset):
+        """`group` of Aut(S) holos and the coset, checked on the point permutations."""
+        elements = tuple(sorted(holos + coset, key=SemiProjMap.key))
+        return elements, _permutation_pairs(self.brackets.vectors, elements)
 
 
 def aut_group(config: PointConfig):

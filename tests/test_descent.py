@@ -9,7 +9,7 @@ import pytest
 import planar_descent.equivalence as equivalence_module
 from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError, InvalidInputError
-from planar_descent.families import FamilyParams, family
+from planar_descent.families import DEFAULT_POOL, FamilyParams, family, random_real_stable_config
 from planar_descent.gaussian import GaussianRational, gq
 from planar_descent.descent import (
     NotACocycleError,
@@ -148,10 +148,17 @@ def test_normalizer_orders_and_closure_match_matrix_oracle():
         )
 
 
+# Aut(S) read off a coset that lacks an antiholomorphic involution tau_j
+# lacks tau_j tau_0^-1, which need not be an involution, so the inverse
+# check fires before the composition check
+COSET_FAULT_MESSAGES = {"drop": "not closed under inverse", "swap": "does not permute"}
+
+
 @pytest.mark.parametrize("fault", sorted(FAULT_MESSAGES))
 def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
-    # the fault hits the holomorphic and the antiholomorphic enumeration
-    # alike, so the coset-size check passes and the group checks must fire
+    # the normalizer enumerates only conj(S) -> S and reads Aut(S) off it,
+    # so the fault reaches both parts and the check of the whole group
+    # must fire
     enumerate_maps = equivalence_module._keyed_equivalences
 
     def faulty(*args):
@@ -159,7 +166,7 @@ def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
 
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
     # a fresh object: STANDARD_FRAME may keep symmetries from earlier tests
-    with pytest.raises(InternalError, match=FAULT_MESSAGES[fault]):
+    with pytest.raises(InternalError, match=COSET_FAULT_MESSAGES[fault]):
         normalizer(PointConfig(STANDARD_FRAME.points))
 
 
@@ -167,17 +174,23 @@ def test_normalizer_rejects_a_faulty_enumeration(monkeypatch, fault):
     ("drop", "not a coset"), ("swap", "does not permute"),
 ])
 def test_normalizer_rejects_a_faulty_conjugate_enumeration(monkeypatch, fault, message):
-    # only conj(S) -> S is faulty, so Aut(S) passes its own check and the
-    # coset-size check or the check of the whole group must fire
+    # only conj(S) -> S is faulty.  Read first, it is the source of Aut(S),
+    # and the check of the whole group must fire.  After `aut_group`,
+    # Aut(S) is enumerated and passes its own check, and the coset-size
+    # check or the check of the whole group must fire.
     enumerate_maps = equivalence_module._keyed_equivalences
 
-    def faulty(source, anchor, target):
-        maps = enumerate_maps(source, anchor, target)
+    def faulty(source, anchor, target, *flag):
+        maps = enumerate_maps(source, anchor, target, *flag)
         return maps if source is target else drop_involution_or_swap(maps, fault)
 
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", faulty)
-    with pytest.raises(InternalError, match=message):
+    with pytest.raises(InternalError, match=COSET_FAULT_MESSAGES[fault]):
         normalizer(PointConfig(STANDARD_FRAME.points))
+    config = PointConfig(STANDARD_FRAME.points)
+    assert len(aut_group(config)) == 24
+    with pytest.raises(InternalError, match=message):
+        normalizer(config)
 
 
 def test_structure_tags_cover_small_groups():
@@ -621,12 +634,13 @@ def test_route_certificates_are_pinned(route, name):
 
 @pytest.mark.parametrize("route, name", [
     ("tiny", "three_points"), ("line", "line_plus_point_descends"), ("frame", "refuted"),
+    ("frame", "not_fom"),
 ])
 def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
     # the decisions on one object share its Symmetries: together they
     # classify once, build one bracket table off the tiny route, and run
-    # conj(S) -> S and S -> S at most once each; each enumeration is
-    # recorded as whether it ran S -> S
+    # conj(S) -> S once; each enumeration is recorded as whether it ran
+    # S -> S, which the normalizer runs only when the coset is empty
     classified, tabled, enumerated = [], [], []
     enumerate_maps = equivalence_module._keyed_equivalences
     brackets = equivalence_module._brackets
@@ -639,9 +653,9 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
         tabled.append(points)
         return brackets(points)
 
-    def counting_enumeration(source, anchor, target):
+    def counting_enumeration(source, anchor, target, *flag):
         enumerated.append(source is target)
-        return enumerate_maps(source, anchor, target)
+        return enumerate_maps(source, anchor, target, *flag)
 
     monkeypatch.setattr(equivalence_module, "classify", counting_classify)
     monkeypatch.setattr(equivalence_module, "_brackets", counting_brackets)
@@ -649,7 +663,8 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
     config = _TWIST.apply(PointConfig(ROUTE_PINS[route][name][0]))
     assert config.conj() != config
     decisions = [descends_real, fom_real] + ([normalizer] if route == "frame" else [])
-    expected = {"tiny": [], "line": [False], "frame": [False, True]}[route]
+    fom = ROUTE_PINS[route][name][2]
+    expected = {"tiny": [], "line": [False], "frame": [False] if fom else [False, True]}[route]
     # a fresh, equal object builds its own result and counts again
     for subject in (config, PointConfig(config.points)):
         classified.clear()
@@ -662,10 +677,89 @@ def test_each_decision_classifies_its_input_once(monkeypatch, route, name):
         assert enumerated == expected
 
 
+def test_aut_group_alone_enumerates_once(monkeypatch):
+    # Aut(S) asked first is enumerated, S -> S, without the coset; the
+    # normalizer then enumerates the coset and checks the whole group
+    enumerated = []
+    enumerate_maps = equivalence_module._keyed_equivalences
+
+    def counting_enumeration(source, anchor, target, *flag):
+        enumerated.append(source is target)
+        return enumerate_maps(source, anchor, target, *flag)
+
+    monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting_enumeration)
+    config = _TWIST.apply(PointConfig(ROUTE_PINS["frame"]["refuted"][0]))
+    assert len(aut_group(config)) == len(aut_group(config)) == 2
+    assert enumerated == [True]
+    assert normalizer(config).order == 4
+    assert enumerated == [True, False]
+
+
+def _stable_frame_inputs():
+    """{name: configuration with a frame and conj(S) equivalent to S}."""
+    rng = random.Random(43)
+    inputs = {
+        "frame48": STANDARD_FRAME,
+        "square16": PointConfig(SQUARE + [pt(0, 0, 1)]),
+        "circle8": PointConfig(SQUARE + [pt(0, 0, 1), pt(1, "0+1i", 0)]),
+        "C2xC2": PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1), pt(2, 3, 1)]),
+    }
+    for m in (1, 2, 3):
+        for variant in ("S", "Sprime"):
+            config = family(FamilyParams(m, DEFAULT_POOL[:m], variant))
+            inputs[f"{variant} m={m}"] = _random_twist(rng).apply(config)
+    while len(inputs) < 20:
+        stable = random_real_stable_config(rng, rng.randint(4, 8))
+        if classify(stable).tag.value == "HasFrame":
+            inputs[f"stable {len(inputs)}"] = _random_twist(rng).apply(stable)
+    return inputs
+
+
+def test_aut_read_off_the_coset_is_the_enumerated_group():
+    # Aut(S) = {A_k adj(A_0)} over the coset conj(S) -> S gives the maps,
+    # in the order, of the S -> S enumeration on S's own table
+    orders = {"frame48": 24, "square16": 8, "circle8": 4, "C2xC2": 2}
+    for name, config in _stable_frame_inputs().items():
+        sym = equivalence_module.Symmetries(config)
+        assert sym.conjugate, name
+        derived = sym.holomorphic
+        table = sym.brackets
+        enumerated = tuple(equivalence_module._keyed_equivalences(table, sym.anchor, table))
+        assert derived == enumerated, name
+        if name in orders or " m=" in name:  # S and S' have Aut(S) = {I, M}
+            assert len(derived) == orders.get(name, 2), name
+        elements, pairs = sym.group
+        assert elements == tuple(sorted(derived + sym.conjugate, key=SemiProjMap.key))
+        assert len(pairs) == 2 * len(derived)
+
+
+def test_degenerate_quads_never_reach_the_exact_keys(monkeypatch):
+    # a base or a quad whose bracket is 0 exactly is dropped in the
+    # residue filter, so every target quad that is keyed is a frame
+    frame_coordinates = equivalence_module._frame_coordinates
+    returned = []
+
+    def recording(table, frame):
+        returned.append(frame_coordinates(table, frame))
+        return returned[-1]
+
+    monkeypatch.setattr(equivalence_module, "_frame_coordinates", recording)
+    inputs = [_TWIST.apply(PointConfig(pin[0])) for pin in ROUTE_PINS["frame"].values()]
+    for m in (2, 3):
+        config = family(FamilyParams(m, DEFAULT_POOL[:m], "Sprime"))
+        inputs += [config, _TWIST.apply(config)]
+    for config in inputs:
+        returned.clear()
+        fom_real(config)
+        normalizer(config)
+        descends_real(config)
+        assert returned and None not in returned
+
+
 def test_symmetric_decisions_take_each_exact_bracket_once(monkeypatch):
-    # conj(S) -> S and S -> S read one table of S, the conjugate table
-    # reads its exact brackets from it, and no determinant of three
-    # points is taken twice
+    # the decisions read one table of S, the conjugate table reads its
+    # exact brackets and its zero tests from it, and no determinant of
+    # three points is taken twice
     taken = []
     det = equivalence_module.zdet3
 

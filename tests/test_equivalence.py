@@ -20,7 +20,6 @@ from planar_descent.equivalence import (
     equivalences,
     pgl2_equivalences,
     reduce_to_line,
-    symmetry_permutations,
 )
 from planar_descent.plane import (
     Line,
@@ -262,11 +261,12 @@ def _pairs(v):
 
 
 def assert_matches_brute_force(fast, source, target):
-    """fast is sorted by key and holds exactly the maps of the two-sided Z[i] oracle."""
+    """fast is sorted by key and holds exactly the maps of the Z[i] oracle of its dimension."""
     assert fast == sorted(fast, key=SemiProjMap.key)
+    oracle = (zi_oracle.brute_force_equivalences if len(source.points[0].z) == 6
+              else zi_oracle.brute_force_line_equivalences)
     normal = sorted(zi_oracle.normal_matrix(tuple(map(_pairs, g.z))) for g in fast)
-    brute = zi_oracle.brute_force_equivalences([_pairs(p.z) for p in source.points],
-                                               [_pairs(p.z) for p in target.points])
+    brute = oracle([_pairs(p.z) for p in source.points], [_pairs(p.z) for p in target.points])
     assert normal == brute
 
 
@@ -375,6 +375,10 @@ def test_family_f_aut_order_24():
     assert len(aut_group(FAMILY_F)) == 24
 
 
+def permutation_pairs(config, maps):
+    return equivalence_module._permutation_pairs([p.z for p in config.points], maps)
+
+
 def test_symmetry_permutations_rejects_non_permutations():
     config = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1),
                           pt(2, 0, 1)])
@@ -388,9 +392,9 @@ def test_symmetry_permutations_rejects_non_permutations():
     outside = SemiProjMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     for g in (merging, outside):
         with pytest.raises(InternalError, match="does not permute"):
-            symmetry_permutations(config, [SemiProjMap.identity(), g])
+            permutation_pairs(config, [SemiProjMap.identity(), g])
 
-    pairs = symmetry_permutations(STANDARD_FRAME, aut_group(STANDARD_FRAME))
+    pairs = permutation_pairs(STANDARD_FRAME, aut_group(STANDARD_FRAME))
     assert {perm for perm, _ in pairs} == set(itertools.permutations(range(4)))
 
 
@@ -407,10 +411,10 @@ def test_symmetry_permutations_checks_the_group_axioms():
     }
     for message, maps in faulty.items():
         with pytest.raises(InternalError, match=message):
-            symmetry_permutations(STANDARD_FRAME, maps)
+            permutation_pairs(STANDARD_FRAME, maps)
     # points in stored order (0:0:1), (0:1:0), (1:0:0), (1:1:1)
     group = [identity, cycle, cycle * cycle]
-    assert symmetry_permutations(STANDARD_FRAME, group) == [
+    assert permutation_pairs(STANDARD_FRAME, group) == [
         ((0, 1, 2, 3), False), ((2, 0, 1, 3), False), ((1, 2, 0, 3), False)
     ]
 
@@ -511,52 +515,12 @@ def test_pgl2_too_small():
         equivalences(STANDARD_FRAME, line)
 
 
-def _det2(p, q):
-    return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
-
-
-def _triple_matrix(q0, q1, q2):
-    """2x2 matrix sending (1:0), (0:1), (1:1) to the given distinct triple."""
-    d0 = _det2(q2, q1)
-    d1 = _det2(q0, q2)
-    return (
-        (d0 * q0.coords[0], d1 * q1.coords[0]),
-        (d0 * q0.coords[1], d1 * q1.coords[1]),
-    )
-
-
-def _brute_pgl2(source, target):
-    """Sorted keys of every map sending a source triple to an ordered target triple.
-
-    Two anchor triples of the source are tried; both must give the same maps.
-    """
-    target_set = set(target.points)
-    results = None
-    for anchor in (source.points[:3], source.points[-3:][::-1]):
-        mb = _triple_matrix(*anchor)
-        inv = ((mb[1][1], -mb[0][1]), (-mb[1][0], mb[0][0]))
-        found = set()
-        for image in itertools.permutations(target.points, 3):
-            mt = _triple_matrix(*image)
-            prod = tuple(
-                tuple(mt[r][0] * inv[0][c] + mt[r][1] * inv[1][c] for c in range(2))
-                for r in range(2)
-            )
-            g = SemiProjMap(prod)
-            if all(g.apply(p) in target_set for p in source.points):
-                found.add(g.key())
-        keys = sorted(found)
-        assert results is None or keys == results, "anchor choice changed the answer"
-        results = keys
-    return results
-
-
 def test_pgl2_four_points_match_brute_force():
     for lam in (gq(2), gq(-1), gq("2+1i"), gq("5/3")):
         config = PointConfig([_p1(0, 1), _p1(1, 1), _p1(1, 0), ProjPoint(lam, gq(1))])
         maps = pgl2_equivalences(config, config)
         assert 24 % len(maps) == 0
-        assert [m.key() for m in maps] == _brute_pgl2(config, config)
+        assert_matches_brute_force(maps, config, config)
 
 
 def _random_line_config(rng, size):
@@ -601,7 +565,7 @@ def test_pgl2_matches_brute_force_between_sets():
         pairs.append((line, _random_line_twist(rng).apply(line)))
     for source, target in pairs:
         maps = pgl2_equivalences(source, target)
-        assert [m.key() for m in maps] == _brute_pgl2(source, target)
+        assert_matches_brute_force(maps, source, target)
         for g in maps:
             assert g.apply(source) == target
 
@@ -620,7 +584,11 @@ def test_pgl2_matches_brute_force_between_sets():
     for source, target, count in symmetric:
         maps = pgl2_equivalences(source, target)
         assert len(maps) == count
-        assert [m.key() for m in maps] == _brute_pgl2(source, target)
+        assert_matches_brute_force(maps, source, target)
+
+
+def _det2(p, q):
+    return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
 
 
 def _cross_ratio(z1, z2, z3, z4):

@@ -110,9 +110,9 @@ def test_verify_paper_skips_non_generic():
     assert all(case.skipped and not case.generic for case in report.cases)
 
 
-def test_verify_paper_enumerates_twice_per_family_case(monkeypatch):
-    # S and S' each: Aut(S) once for genericity and the normalizer, and
-    # conj(S) -> S once for the fom verdict, the normalizer and the descent
+def test_verify_paper_enumerates_once_per_family_case(monkeypatch):
+    # S and S' each: conj(S) -> S once, for genericity, the fom verdict,
+    # the normalizer and the descent; Aut(S) is read off it
     calls = []
     enumerate_maps = equivalence_module._keyed_equivalences
 
@@ -123,7 +123,7 @@ def test_verify_paper_enumerates_twice_per_family_case(monkeypatch):
     monkeypatch.setattr(equivalence_module, "_keyed_equivalences", counting)
     report = verify_paper(m_values=(1,), battery_samples=0)
     assert report.passed and len(report.cases) == 2
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_verify_paper_decides_families_past_twenty_points():

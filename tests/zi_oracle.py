@@ -3,8 +3,8 @@
 Deliberately independent of `planar_descent`: nothing here imports the
 program, so an oracle built on it never trusts the arithmetic it checks
 (modelled on `decision_bench/qi.py`).  A Gaussian integer is a pair of
-ints (re, im), a point of the plane a tuple of three of them, and a
-3x3 matrix a tuple of three rows.
+ints (re, im), a point a tuple of three of them (two on the line), and
+a 3x3 (2x2) matrix a tuple of three (two) rows.
 """
 
 import itertools
@@ -44,6 +44,11 @@ def matmul(a, b):
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
+def det2(u, v):
+    """The determinant of the 2x2 matrix with rows u, v."""
+    return sub(mul(u[0], v[1]), mul(u[1], v[0]))
+
+
 def det3(u, v, w):
     """The determinant of the matrix with rows u, v, w."""
     cross = (
@@ -81,9 +86,9 @@ def normal(v):
 
 
 def normal_matrix(m):
-    """The normal form of a nonzero 3x3 matrix, taken row-major as one vector."""
+    """The normal form of a nonzero square matrix, taken row-major as one vector."""
     flat = normal([x for row in m for x in row])
-    return tuple(flat[r:r + 3] for r in range(0, 9, 3))
+    return tuple(flat[r:r + len(m)] for r in range(0, len(flat), len(m)))
 
 
 def frame_matrix(quad):
@@ -128,4 +133,35 @@ def brute_force_equivalences(source, target):
         assert results is None or maps == results, "anchor choice changed the answer"
         results = maps
     assert results is not None
+    return results
+
+
+def triple_matrix(triple):
+    """The 2x2 matrix with columns d_k v_k sending (1:0), (0:1), (1:1) to a distinct triple."""
+    q0, q1, q2 = triple
+    d0, d1 = det2(q2, q1), det2(q0, q2)
+    return ((mul(d0, q0[0]), mul(d1, q1[0])), (mul(d0, q0[1]), mul(d1, q1[1])))
+
+
+def brute_force_line_equivalences(source, target):
+    """The normal forms of every g of the line with g(source) = target, sorted.
+
+    source and target are sequences of distinct points of the line, at
+    least three each.  Two anchor triples of the source, its first three
+    points and its last three reversed, each anchor a full search over
+    the ordered triples of the target; both must give the same maps.
+    """
+    target_set = {normal(p) for p in target}
+    results = None
+    for anchor in (source[:3], source[-3:][::-1]):
+        (a, b), (c, d) = triple_matrix(anchor)
+        inverse = ((d, neg(b)), (neg(c), a))
+        found = set()
+        for image in itertools.permutations(target, 3):
+            g = matmul(triple_matrix(image), inverse)
+            if all(normal(matvec(g, p)) in target_set for p in source):
+                found.add(normal_matrix(g))
+        maps = sorted(found)
+        assert results is None or maps == results, "anchor choice changed the answer"
+        results = maps
     return results
