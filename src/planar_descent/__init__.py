@@ -53,7 +53,6 @@ from .families import (
     GenericityReport,
     InvalidParameterError,
     PaperReport,
-    certify_generic,
     family,
     verify_paper,
 )

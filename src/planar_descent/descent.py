@@ -148,11 +148,11 @@ def normalizer(config: PointConfig) -> NormalizerGroup:
 # --- constructive Hilbert 90 ----------------------------------------------------
 
 
-def hilbert90_split(matrix) -> SemiProjMap:
+def hilbert90_split(matrix: SemiProjMap) -> SemiProjMap:
     """B with matrix = B . conj(B)^-1 up to scalar, verified exactly.
 
-    `matrix` is a 3x3 SemiProjMap or rows of Q(i) values; only its
-    normal form A is used.  Requires A . conj(A) = mu * I for a scalar
+    `matrix` is a 3x3 SemiProjMap; only its normal form A is
+    used.  Requires A . conj(A) = mu * I for a scalar
     mu; mu is then automatically positive (mu^3 is the norm of the
     determinant), and c = conj(det) A has c conj(c) = mu^4 I, so
     sigma(x) = c conj(x) / mu^2 is an antilinear involution.  Its fixed
@@ -163,8 +163,6 @@ def hilbert90_split(matrix) -> SemiProjMap:
     as columns (the first is c + mu^2 I), and c conj(B) = mu^2 B is
     checked exactly.  Everything is computed in Z[i].
     """
-    if not isinstance(matrix, SemiProjMap):
-        matrix = SemiProjMap(matrix)
     a = matrix.z
     if len(a) != 3:
         raise InvalidInputError("Hilbert 90 splitting needs a 3x3 matrix")

@@ -117,7 +117,6 @@ from .plane import (
     zdet3,
     zgeneral_position,
     zmatmul,
-    zmatvec,
     zmatvec3,
     zmul,
     znormal,
@@ -661,9 +660,6 @@ class LineReduction:
     basis: tuple
     off: tuple
     residue: Optional[ProjPoint]
-
-    def to_plane(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint.from_z(zmatvec(zcolumns(self.basis), p.z))
 
     def chart_matrix(self):
         """Columns basis[0], basis[1], off: standard coordinates -> plane."""

@@ -108,19 +108,15 @@ class GenericityReport:
     aut_order_sprime: int
 
 
-def certify_generic(params: FamilyParams) -> GenericityReport:
-    """Certify per instance what is generically true: Aut = {I, diag(-1,-1,1)}."""
-    return _certify_generic(_variants(params))
-
-
 def _variants(params: FamilyParams):
     """S and Sprime for params.m and params.a, keyed by variant."""
     return {v: family(FamilyParams(params.m, params.a, v)) for v in ("S", "Sprime")}
 
 
 def _certify_generic(configs) -> GenericityReport:
-    """`certify_generic` of the two `_variants` configurations.
+    """Certify per instance what is generically true: Aut = {I, diag(-1,-1,1)}.
 
+    configs are the two `_variants` configurations of one parameter set.
     The coset conj(S) -> S of each is read first, so that Aut(S) is read
     off it (`Symmetries.holomorphic`) and takes no enumeration: conj(S) is
     equivalent to S for every parameter (module docstring), and the checks

@@ -2,10 +2,10 @@
 
 Points, lines and maps store normalized Gaussian-integer tuples (`plane`).
 What lives here: `GaussianRational` (re + im*i with exact rational parts)
-for scalars (mu, t, `two_squares`, the parameter pool) and for the
-read-only `coords`/`dual`/`matrix` views; the one scanner (`scan_gq`) and
-the one formatter (`format_zi`) of Q(i) text; and the decomposition of a
-rational into two squares (`two_squares`).  Q(i) is closed under complex
+for scalars only (mu, t, `two_squares`, the parameter pool, input
+coordinates); the one scanner (`scan_gq`) and the one formatter
+(`format_zi`) of Q(i) text; and the decomposition of a rational into two
+squares (`two_squares`).  Q(i) is closed under complex
 conjugation, the only field automorphism the package applies.  All
 operations normalize, so equality is structural and values are hashable;
 the rational parts are gcd-reduced `Fraction`s with positive denominators.
@@ -74,20 +74,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = GaussianRational._coerced(other)
         if other is None:
@@ -97,8 +83,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = GaussianRational._coerced(other)
         if other is None:
@@ -106,12 +90,6 @@ class GaussianRational:
         if not other:
             raise ZeroDivisionError("division by zero in Q(i)")
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -128,9 +106,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

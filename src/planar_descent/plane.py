@@ -15,21 +15,19 @@ get the same normal form, so equality and hashing are structural, and
 apply, compose and inverse are Gaussian-integer products.  The kernels
 below are the only linear algebra the decision procedures use.
 
-The Q(i) form with leading entry 1 (`coords`, `dual`, `matrix`) is the
-stored tuple divided by L, a read-only view computed on demand.  Points
-and lines sort by their normal form (`key()` is `z`), maps by (antiholo,
-not the identity, `z`).  Q(i) strings exist only for output: `str`,
-`repr` and the JSON format write them from `z` and L (`format_zi`).
+Points and lines sort by their normal form (`key()` is `z`), maps by
+(antiholo, not the identity, `z`).  Q(i) values exist only as text:
+`str`, `repr` and the JSON format write the stored tuple divided by L,
+with leading entry 1 (`format_zi`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .gaussian import GaussianRational, format_zi, gq, scan_gq
+from .gaussian import format_zi, gq, scan_gq
 
 
 class DegenerateInputError(InvalidInputError):
@@ -207,13 +205,6 @@ def _from_qi(values, message):
     return tuple([num * (m // den) for num, den in ratios])
 
 
-def _qi_view(v, lead):
-    return tuple([
-        GaussianRational(Fraction(v[j], lead), Fraction(v[j + 1], lead))
-        for j in range(0, len(v), 2)
-    ])
-
-
 def _qi_text(v):
     """The Q(i) literals of the entries of a flat normal form, divided by its lead L."""
     lead = zlead(v)
@@ -272,16 +263,11 @@ class ProjPoint(_NormalVector):
             )
         self.z = znormal(_from_qi(coords, "projective coordinates must not all be zero"))
 
-    @property
-    def coords(self):
-        """The coordinates with the leftmost nonzero one scaled to 1."""
-        return _qi_view(self.z, zlead(self.z))
-
     def __lt__(self, other):
         return self.z < other.z
 
     def __repr__(self):
-        return f"ProjPoint{self.coords!r}"
+        return f"ProjPoint{self}"
 
     def __str__(self):
         return "(" + ":".join(_qi_text(self.z)) + ")"
@@ -295,15 +281,11 @@ class Line(_NormalVector):
     def __init__(self, a, b, c):
         self.z = znormal(_from_qi((a, b, c), "projective coordinates must not all be zero"))
 
-    @property
-    def dual(self):
-        return _qi_view(self.z, zlead(self.z))
-
     def contains(self, p: ProjPoint) -> bool:
         return zmatvec3((self.z,), _plane(p)) == (0, 0)
 
     def __repr__(self):
-        return f"Line{self.dual!r}"
+        return f"Line{self}"
 
     def __str__(self):
         return "[" + ":".join(_qi_text(self.z)) + "]"
@@ -409,12 +391,6 @@ class SemiProjMap:
     @classmethod
     def identity(cls) -> "SemiProjMap":
         return cls.from_z(ZIDENTITY[3])
-
-    @property
-    def matrix(self):
-        """The matrix with the first nonzero entry (row-major) scaled to 1."""
-        lead = zlead(chain.from_iterable(self.z))
-        return tuple([_qi_view(row, lead) for row in self.z])
 
     def is_identity(self) -> bool:
         return not self.antiholo and self.z == ZIDENTITY[len(self.z)]

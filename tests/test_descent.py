@@ -7,10 +7,11 @@ import random
 import pytest
 
 import planar_descent.equivalence as equivalence_module
+import zi_oracle
 from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError, InvalidInputError
 from planar_descent.families import DEFAULT_POOL, FamilyParams, family, random_real_stable_config
-from planar_descent.gaussian import GaussianRational, gq
+from planar_descent.gaussian import gq
 from planar_descent.descent import (
     NotACocycleError,
     descends_real,
@@ -28,11 +29,10 @@ from planar_descent.equivalence import (
 from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
 from test_equivalence import (
     FAULT_MESSAGES,
-    adjugate,
-    conj_matrix,
-    det3,
+    _random_twist,
     drop_involution_or_swap,
-    matmul,
+    oracle_map,
+    oracle_matrix,
 )
 
 
@@ -56,17 +56,6 @@ def _paper_family(a_values, origin=False):
     return PointConfig(points)
 
 
-def _random_twist(rng):
-    while True:
-        rows = tuple(
-            tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                  for _ in range(3))
-            for _ in range(3)
-        )
-        if any(x for row in rows for x in row) and det3(rows):
-            return SemiProjMap(rows)
-
-
 # --- normalizer --------------------------------------------------------------------
 
 
@@ -78,8 +67,8 @@ def test_paper_normalizer_is_c4():
     keys = {g.key() for g in group.elements}
     assert SemiProjMap.identity().key() in keys
     assert M.key() in keys
-    assert SemiProjMap(J.matrix, antiholo=True).key() in keys
-    mj = SemiProjMap(matmul(M.matrix, J.matrix), antiholo=True)
+    assert SemiProjMap.from_z(J.z, antiholo=True).key() in keys
+    mj = oracle_map(zi_oracle.matmul(oracle_matrix(M.z), oracle_matrix(J.z)), antiholo=True)
     assert mj.key() in keys
 
 
@@ -88,8 +77,8 @@ def test_normalizer_of_stable_frame_set():
     assert group.order == 48
     assert len(group.holomorphic) == 24
     assert len(group.antiholomorphic) == 24
-    identity_anti = SemiProjMap.identity().matrix
-    assert any(g.matrix == identity_anti for g in group.antiholomorphic)
+    identity_anti = SemiProjMap.identity().z
+    assert any(g.z == identity_anti for g in group.antiholomorphic)
     assert group.structure == "other"
 
 
@@ -113,18 +102,27 @@ SQUARE = [pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)]
 
 
 def _matrix_order(g, cap):
-    power = g
+    """The order of g, from powers of its matrix taken by the Z[i] oracle.
+
+    The power g^k is (P, flag) acting as x -> P x, or P conj(x) when the
+    flag is set, and g^(k+1) = g^k g is (P A, flag) or (P conj(A), not flag).
+    """
+    a = oracle_matrix(g.z)
+    identity = oracle_matrix(SemiProjMap.identity().z)
+    power, antiholo = zi_oracle.normal_matrix(a), g.antiholo
     for k in range(1, cap + 1):
-        if power.is_identity():
+        if not antiholo and power == identity:
             return k
-        power = power * g
+        power = zi_oracle.normal_matrix(
+            zi_oracle.matmul(power, zi_oracle.conj(a) if antiholo else a))
+        antiholo ^= g.antiholo
     raise AssertionError(f"{g!r} has order above {cap}")
 
 
 def test_normalizer_orders_and_closure_match_matrix_oracle():
     # the oracle composes and powers the matrices themselves
     assert _matrix_order(M, 2) == 2
-    assert _matrix_order(SemiProjMap(J.matrix, antiholo=True), 4) == 4
+    assert _matrix_order(SemiProjMap.from_z(J.z, antiholo=True), 4) == 4
     cases = [
         (STANDARD_FRAME, 48),
         (PointConfig(SQUARE + [pt(0, 0, 1)]), 16),
@@ -220,14 +218,14 @@ def test_fom_paper_family_witness_is_j():
     verdict, witness = fom_real(_paper_family(["2+1i"]))
     assert verdict
     assert witness.antiholo
-    assert witness.matrix == J.matrix
+    assert witness.z == J.z
 
 
 def test_fom_conjugation_stable_witness_identity():
     verdict, witness = fom_real(STANDARD_FRAME)
     assert verdict
     assert witness.antiholo
-    assert witness.matrix == SemiProjMap.identity().matrix
+    assert witness.z == SemiProjMap.identity().z
 
 
 def test_fom_false_frame_case():
@@ -259,34 +257,39 @@ def test_fom_witness_carries_conjugate_onto_input():
             config = _random_twist(rng).apply(stable)
             verdict, witness = fom_real(config)
             assert verdict
-            holo = SemiProjMap(witness.matrix)
+            holo = SemiProjMap.from_z(witness.z)
             assert holo.apply(config.conj()) == config
 
 
 # --- Hilbert 90 ---------------------------------------------------------------------
 
 
+def _cocycle(b):
+    """B . conj(B)^-1 up to scalar, for a matrix B of the Z[i] oracle."""
+    return zi_oracle.matmul(b, zi_oracle.adjugate(zi_oracle.conj(b)))
+
+
 def test_split_identity_gives_identity():
-    assert hilbert90_split(SemiProjMap.identity().matrix) == SemiProjMap.identity()
+    assert hilbert90_split(SemiProjMap.identity()) == SemiProjMap.identity()
 
 
 def test_split_half_turn():
-    b = hilbert90_split(M.matrix).matrix
+    b = oracle_matrix(hilbert90_split(M).z)
     # B conj(B)^-1 must equal M projectively; diag(i, i, 1) is one witness
-    recovered = SemiProjMap(matmul(b, adjugate(conj_matrix(b))))
+    recovered = oracle_map(_cocycle(b))
     assert recovered == M
-    diag_i = ((gq("0+1i"), gq(0), gq(0)), (gq(0), gq("0+1i"), gq(0)),
-              (gq(0), gq(0), gq(1)))
-    check = SemiProjMap(matmul(diag_i, adjugate(conj_matrix(diag_i))))
+    diag_i = (((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 0)),
+              ((0, 0), (0, 0), (1, 0)))
+    check = oracle_map(_cocycle(diag_i))
     assert check == M
 
 
 def test_split_rejects_non_cocycle():
     with pytest.raises(NotACocycleError):
-        hilbert90_split(J.matrix)
+        hilbert90_split(J)
     # a 2x2 matrix is a typed error, not a ValueError from unpacking
     with pytest.raises(InvalidInputError):
-        hilbert90_split(((0, 1), (1, 0)))
+        hilbert90_split(SemiProjMap(((0, 1), (1, 0))))
 
 
 REFLECTION = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
@@ -294,21 +297,23 @@ REFLECTION = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
 
 def test_split_random_exact_cocycles():
     rng = random.Random(32)
-    reflection = SemiProjMap(REFLECTION).matrix
+    reflection = oracle_matrix(SemiProjMap(REFLECTION).z)
     for _ in range(25):
-        b = _random_twist(rng).matrix
+        b = oracle_matrix(_random_twist(rng).z)
         # b . conj(b)^-1, and the twisted reflection b . diag(1, 1, -1) . conj(b)^-1
-        for cocycle in (matmul(b, adjugate(conj_matrix(b))),
-                        matmul(matmul(b, reflection), adjugate(conj_matrix(b)))):
-            split = hilbert90_split(cocycle).matrix
-            recovered = SemiProjMap(matmul(split, adjugate(conj_matrix(split))))
-            assert recovered == SemiProjMap(cocycle)
+        for cocycle in (_cocycle(b),
+                        zi_oracle.matmul(zi_oracle.matmul(b, reflection),
+                                         zi_oracle.adjugate(zi_oracle.conj(b)))):
+            split = oracle_matrix(hilbert90_split(oracle_map(cocycle)).z)
+            recovered = oracle_map(_cocycle(split))
+            assert recovered == oracle_map(cocycle)
 
 
 def test_split_pinned_when_first_choice_is_singular():
     # c + mu^2 I = diag(0, 0, 2) is singular; the first basis among the six
     # fixed vectors is 2 e_3, 2i e_1, 2i e_2
-    assert hilbert90_split(REFLECTION) == SemiProjMap(((0, 1, 0), (0, 0, 1), ("0-1i", 0, 0)))
+    assert hilbert90_split(SemiProjMap(REFLECTION)) == SemiProjMap(
+        ((0, 1, 0), (0, 0, 1), ("0-1i", 0, 0)))
 
 
 # --- descent -------------------------------------------------------------------------
@@ -411,7 +416,7 @@ def test_descent_verdict_matches_exhaustive_involution_search():
                               pt(1, 1, 1), pt(1, "2+1i", 0)]))
     for config in cases:
         try:
-            anti = [SemiProjMap(m.matrix, antiholo=True)
+            anti = [SemiProjMap.from_z(m.z, antiholo=True)
                     for m in equivalences(config.conj(), config)]
         except NeedsReductionError:
             continue

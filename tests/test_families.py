@@ -8,7 +8,8 @@ from planar_descent.gaussian import gq
 from planar_descent.families import (
     FamilyParams,
     InvalidParameterError,
-    certify_generic,
+    _certify_generic,
+    _variants,
     family,
     random_real_stable_config,
     verify_paper,
@@ -68,7 +69,7 @@ def test_family_rejects_collisions():
 
 
 def test_certify_generic_default_pool():
-    report = certify_generic(FamilyParams(1, ["2+1i"]))
+    report = _certify_generic(_variants(FamilyParams(1, ["2+1i"])))
     assert report.generic
     assert report.aut_order_s == 2
     assert report.aut_order_sprime == 2
@@ -77,7 +78,7 @@ def test_certify_generic_default_pool():
 def test_certify_generic_flags_real_parameter():
     # a real parameter leaves the configuration conjugation-stable and
     # enlarges the automorphism group
-    report = certify_generic(FamilyParams(1, ["2"]))
+    report = _certify_generic(_variants(FamilyParams(1, ["2"])))
     assert not report.generic
     assert report.aut_order_s > 2
 

@@ -23,7 +23,7 @@ from planar_descent.gaussian import (
     _strong_lucas_probable_prime,
     two_squares,
 )
-from planar_descent.plane import _qi_text, _qi_view, zlead, znormal
+from planar_descent.plane import _qi_text, zlead, znormal
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -188,15 +188,20 @@ def _fraction_format(re, im):
     return f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
 
 
+def _fraction_parts(v, lead):
+    """The entries of a flat Z[i] tuple divided by lead, as (re, im) Fraction pairs."""
+    return [(Fraction(v[j], lead), Fraction(v[j + 1], lead)) for j in range(0, len(v), 2)]
+
+
 @_derandomized
 @given(st.lists(_parts, min_size=2, max_size=6).filter(lambda v: len(v) % 2 == 0), _leads)
 def test_integer_formatter_matches_fraction_formatting(v, lead):
-    expected = [_fraction_format(c.re, c.im) for c in _qi_view(v, lead)]
+    expected = [_fraction_format(re, im) for re, im in _fraction_parts(v, lead)]
     assert [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)] == expected
-    assert [format_gq(c) for c in _qi_view(v, lead)] == expected
+    assert [format_gq(GaussianRational(re, im)) for re, im in _fraction_parts(v, lead)] == expected
     if any(v):
         z = znormal(v)
-        assert _qi_text(z) == [_fraction_format(c.re, c.im) for c in _qi_view(z, zlead(z))]
+        assert _qi_text(z) == [_fraction_format(re, im) for re, im in _fraction_parts(z, zlead(z))]
 
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import planar_descent
 from planar_descent.cli import map_from_json, map_to_json, point_from_string
 from planar_descent.errors import InvalidInputError
 from planar_descent.gaussian import GaussianRational, gq
@@ -15,6 +18,8 @@ from planar_descent.plane import (
     collinear,
     line_through,
     zdet3,
+    zlead,
+    zscale,
 )
 
 
@@ -47,41 +52,78 @@ def _random_map(rng, antiholo=False, dim=3):
             continue
 
 
+# --- one representation ---------------------------------------------------------
+
+
+def _imported_names(module):
+    """Every module and name that a source file of the package imports, read with `ast`."""
+    path = Path(planar_descent.__file__).resolve().parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["plane", "equivalence"])
+def test_points_lines_and_maps_have_one_representation(module):
+    # they are normalized Z[i] tuples; Q(i) values exist there only as text
+    names = set(_imported_names(module))
+    assert names
+    for name in ("fractions", "Fraction", "GaussianRational"):
+        assert name not in names, (module, name)
+
+
 # --- canonical forms ------------------------------------------------------------
 
 
+def _text(obj):
+    """The Q(i) literals of a point or line, read off its text."""
+    return str(obj)[1:-1].split(":")
+
+
+def _rows(g):
+    """The Q(i) literals of a map, row by row."""
+    entries, n = g.text(), len(g.z)
+    return [entries[j:j + n] for j in range(0, len(entries), n)]
+
+
 def test_point_canonical_form():
-    assert pt(0, 2, 4).coords == pt(0, 1, 2).coords
-    assert pt("0+2i", "2", "0").coords == (gq("1"), gq("0-1i"), gq("0"))
+    assert str(pt(0, 2, 4)) == str(pt(0, 1, 2))
+    assert str(pt("0+2i", "2", "0")) == "(1:0-1i:0)"
     assert str(pt(-2, 0, 2)) == "(1:0:-1)"
 
 
 def _random_scalar(rng):
+    """A nonzero Q(i) scalar with small parts, times its denominators: a Z[i] one."""
     while True:
-        c = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        if c:
-            return c
+        a, b = rng.randint(-6, 6), rng.randint(1, 4)
+        c, d = rng.randint(-6, 6), rng.randint(1, 4)
+        if a or c:
+            return (a * d, c * b)
 
 
 def test_canonicalization_idempotent():
     rng = random.Random(10)
     for _ in range(50):
         p = _random_point(rng)
-        assert ProjPoint(*p.coords) == p
+        assert ProjPoint(*_text(p)) == p
         g = _random_map(rng)
-        assert SemiProjMap(g.matrix, g.antiholo) == g
-        # a Q(i) multiple is the same object, with the same output bytes
+        assert SemiProjMap(_rows(g), g.antiholo) == g
+        # a Z[i] multiple is the same object, with the same output bytes
         c = _random_scalar(rng)
-        q = ProjPoint(*[c * x for x in p.coords])
+        q = ProjPoint.from_z(zscale(c, p.z))
         assert q == p and hash(q) == hash(p) and str(q) == str(p) and q.key() == p.key()
-        h = SemiProjMap([[c * x for x in row] for row in g.matrix], g.antiholo)
+        h = SemiProjMap.from_z(zscale(c, g.z), g.antiholo)
         assert h == g and hash(h) == hash(g) and repr(h) == repr(g) and h.key() == g.key()
-        # the leading-1 view is the stored Z[i] tuple divided by its leading entry
-        lead = next(x for x in p.z if x)
-        assert [(x.re * lead, x.im * lead) for x in p.coords] == list(zip(p.z[::2], p.z[1::2]))
+        # the text is the stored Z[i] tuple divided by its leading entry
+        lead = zlead(p.z)
+        assert [(x.re * lead, x.im * lead) for x in map(gq, _text(p))] \
+            == list(zip(p.z[::2], p.z[1::2]))
     line = line_through(pt(1, 2, 3), pt(0, 1, 1))
-    assert Line(*line.dual) == line
+    assert Line(*_text(line)) == line
 
 
 def test_config_points_sort_by_normal_form():
@@ -92,10 +134,11 @@ def test_config_points_sort_by_normal_form():
         for _ in range(3):
             rng.shuffle(points)
             scales = [_random_scalar(rng) for _ in points]
-            scaled = [ProjPoint(*[c * x for x in p.coords]) for c, p in zip(scales, points)]
+            scaled = [ProjPoint.from_z(zscale(c, p.z)) for c, p in zip(scales, points)]
             config = PointConfig(scaled)
             assert [p.z for p in config.points] == expected
             assert list(config.points) == sorted(points)
+            assert PointConfig(_text(p) for p in scaled) == config
 
 
 def _random_big_point(rng, dim=3):
@@ -113,10 +156,10 @@ def test_text_of_points_lines_and_maps_parses_back():
         p, q = _random_big_point(rng), _random_big_point(rng)
         assert point_from_string(str(p)) == p
         on_line = _random_big_point(rng, 2)
-        assert ProjPoint(*str(on_line)[1:-1].split(":")) == on_line
+        assert ProjPoint(*_text(on_line)) == on_line
         if p != q:
             line = line_through(p, q)
-            assert Line(*str(line)[1:-1].split(":")) == line
+            assert Line(*_text(line)) == line
         rows = [_random_big_point(rng).z for _ in range(3)]
         if zdet3(*rows) == (0, 0):
             continue

@@ -41,3 +41,5 @@ def test_the_oracle_arithmetic():
     scalar = tuple(tuple(det if r == c else (0, 0) for c in range(3)) for r in range(3))
     assert zi_oracle.matmul(m, zi_oracle.adjugate(m)) == scalar
     assert zi_oracle.matvec(m, ((1, 0), (0, 0), (0, 0))) == tuple(row[0] for row in m)
+    assert zi_oracle.conj(m)[0] == ((1, -2), (0, 3), (4, 0))
+    assert zi_oracle.conj(zi_oracle.conj(m)) == m

@@ -27,6 +27,11 @@ def neg(x):
     return (-x[0], -x[1])
 
 
+def conj(m):
+    """The entrywise complex conjugate of a matrix."""
+    return tuple(tuple((x[0], -x[1]) for x in row) for row in m)
+
+
 def dot(u, v):
     re_part = im_part = 0
     for a, b in zip(u, v):
