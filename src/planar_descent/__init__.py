@@ -5,15 +5,7 @@ with a certificate that re-checks by exact arithmetic.
 """
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError, TooManyPointsError
-from .gaussian import (
-    GaussianRational,
-    NotANormError,
-    ParseError,
-    format_gq,
-    gq,
-    parse_gq,
-    two_squares,
-)
+from .gaussian import NotANormError, ParseError, two_squares
 from .plane import (
     DegenerateInputError,
     Line,

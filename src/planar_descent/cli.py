@@ -25,7 +25,7 @@ import json
 import sys
 
 from .errors import InternalError, InvalidInputError, TooManyPointsError
-from .gaussian import ParseError, format_gq, parse_gq, scan_gq
+from .gaussian import ParseError, scan_gq
 from .equivalence import aut_group, classify, equivalences
 from .descent import (
     DescentCertificate,
@@ -213,7 +213,7 @@ def report_to_json(report) -> dict:
     return {
         "seed": report.seed,
         "m_values": list(report.m_values),
-        "parameter_pool": [format_gq(x) for x in report.pool],
+        "parameter_pool": list(report.pool),
         "parameter_pool_note": report.pool_note,
         "family_cases": cases,
         "small_battery": battery,
@@ -304,7 +304,11 @@ def _cmd_normalizer(args):
 
 
 def _parse_pool(text):
-    return tuple(parse_gq(part.strip()) for part in text.split(","))
+    """The stripped literals of `--a`; a malformed one is reported before other options."""
+    pool = tuple(part.strip() for part in text.split(","))
+    for literal in pool:
+        scan_gq(literal)
+    return pool
 
 
 def _cmd_family(args):
@@ -400,7 +404,7 @@ def _build_parser():
     verify.add_argument("--m-range", dest="m_range", default="1..3",
                         help='e.g. "1..3" (default) or a single integer')
     verify.add_argument("--a", default=None,
-                        help="comma-separated parameter pool (default 2+1i,3+2i,5+1i)")
+                        help=f"comma-separated parameter pool (default {','.join(DEFAULT_POOL)})")
     verify.add_argument("--samples", type=int, default=200,
                         help="battery samples per size (default 200)")
     return parser

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError, PlanarDescentError
-from .gaussian import GaussianRational, NotANormError, two_squares
+from .gaussian import NotANormError, two_squares
 from .equivalence import LineReduction, Symmetries
 from .plane import (
     ZIDENTITY,
@@ -291,16 +290,15 @@ def _descend_tiny(config):
     return _certificate(config, splitter, cocycle, "tiny", cocycle)
 
 
-def _lift(reduction: LineReduction, n, t=GaussianRational(1)) -> SemiProjMap:
+def _lift(reduction: LineReduction, n, t=((1, 0), 1)) -> SemiProjMap:
     """The planar antiholomorphic map induced by the line-level map t N.
 
     N is the 2x2 map n with leading entry 1, that is n.z / L for its
     normal form's leading entry L.  The lift is the chart conjugate of
-    diag(t N, 1); with t = T / q for T in Z[i] and q a positive integer,
-    that block is diag(T n.z, q L) divided by the positive integer q L.
+    diag(t N, 1); with t = T / q given as (T, q), for T in Z[i] and q a
+    positive integer, that block is diag(T n.z, q L) divided by q L.
     """
-    q = lcm(t.re.denominator, t.im.denominator)
-    tq = (t.re.numerator * (q // t.re.denominator), t.im.numerator * (q // t.im.denominator))
+    tq, q = t
     (ar, ai, br, bi), (cr, ci, dr, di) = zscale(tq, n.z)
     corner = q * zlead(n.z[0] + n.z[1])
     block = ((ar, ai, br, bi, 0, 0), (cr, ci, dr, di, 0, 0), (0, 0, 0, 0, corner, 0))
@@ -325,7 +323,7 @@ def _descend_line(config, sym, witness):
             continue
         lead = zlead(n.z[0] + n.z[1])
         try:
-            t = two_squares(Fraction(lead * lead, mu))
+            t = two_squares(lead * lead, mu)
         except NotANormError:
             positive_non_norm = True
             continue

@@ -101,7 +101,7 @@ from functools import cached_property, reduce
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError
-from .gaussian import _sqrt_minus_one
+from .gaussian import _sqrt_minus_one, zmul
 from .plane import (
     ZIDENTITY,
     Line,
@@ -118,7 +118,6 @@ from .plane import (
     zgeneral_position,
     zmatmul,
     zmatvec3,
-    zmul,
     znormal,
     zscale,
 )

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError
-from .gaussian import GaussianRational, gq
+from .gaussian import format_zi, qi_parts
 from .descent import DescentCertificate, descends_real, fom_real, normalizer, real_model_check
 from .equivalence import Symmetries, aut_group
-from .plane import PointConfig, ProjPoint, SemiProjMap
+from .plane import PointConfig, ProjPoint, SemiProjMap, zclear, zdet3
 
 
 class InvalidParameterError(InvalidInputError):
@@ -42,19 +41,25 @@ class InvalidParameterError(InvalidInputError):
 
 M_MATRIX = SemiProjMap(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
-DEFAULT_POOL = (
-    GaussianRational(2, 1),
-    GaussianRational(3, 2),
-    GaussianRational(5, 1),
-)
+DEFAULT_POOL = ("2+1i", "3+2i", "5+1i")
 
 # the sizes of the positive battery: every n <= 5, where the paper says all descend
 BATTERY_SIZES = (1, 2, 3, 4, 5)
 
 
+def _parameter(x):
+    """An int or a Q(i) literal as integers (re, im, den), its value being (re + im i) / den."""
+    re_num, re_den, im_num, im_den = qi_parts(x)
+    return re_num * im_den, im_num * re_den, re_den * im_den
+
+
 @dataclass(frozen=True)
 class FamilyParams:
-    """Size parameter m, the list a_1..a_m, and the variant (S or Sprime)."""
+    """Size parameter m, the list a_1..a_m, and the variant (S or Sprime).
+
+    Each a_k is given as an int or a Q(i) literal and kept as its
+    normalized literal.
+    """
 
     m: int
     a: tuple
@@ -65,18 +70,18 @@ class FamilyParams:
             raise InvalidParameterError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise InvalidParameterError("m must be at least 1")
-        values = tuple(gq(x) for x in self.a)
+        values = tuple(_parameter(x) for x in self.a)
         if len(values) != self.m:
             raise InvalidParameterError(
                 f"expected {self.m} parameters, got {len(values)}"
             )
-        object.__setattr__(self, "a", values)
-        for x in values:
-            if not x:
+        object.__setattr__(self, "a", tuple(format_zi(*x) for x in values))
+        for re, im, den in values:
+            if not (re or im):
                 raise InvalidParameterError("parameters must be nonzero")
-            if x.norm() == 1:
+            if re * re + im * im == den * den:
                 raise InvalidParameterError(
-                    f"|{x}| = 1: parameters must avoid the unit circle"
+                    f"|{format_zi(re, im, den)}| = 1: parameters must avoid the unit circle"
                 )
 
 
@@ -88,9 +93,9 @@ def family(params: FamilyParams) -> PointConfig:
         ProjPoint(0, 1, 1),
         ProjPoint(0, -1, 1),
     ]
-    for x in params.a:
-        points.append(ProjPoint(x, 1, 0))
-        points.append(ProjPoint(1, -x.conj(), 0))
+    for re, im, den in map(_parameter, params.a):
+        points.append(ProjPoint.from_z((re, im, den, 0, 0, 0)))
+        points.append(ProjPoint.from_z((den, 0, -re, im, 0, 0)))
     if params.variant == "Sprime":
         points.append(ProjPoint(0, 0, 1))
     expected = 2 * params.m + (5 if params.variant == "Sprime" else 4)
@@ -134,26 +139,32 @@ def _certify_generic(configs) -> GenericityReport:
 # --- random twisted configurations ------------------------------------------------
 
 
+_ZERO, _ONE = (0, 1), (1, 1)
+
+
 def _random_fraction(rng):
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    """A small rational as (numerator, denominator)."""
+    return rng.randint(-6, 6), rng.randint(1, 4)
+
+
+def _point(*parts):
+    """The point whose coordinates have these real and imaginary parts, in
+    order, each a (numerator, denominator) pair."""
+    return ProjPoint.from_z(zclear(parts))
 
 
 def _random_real_point(rng):
-    coords = [GaussianRational(_random_fraction(rng)) for _ in range(3)]
-    if not any(coords):
-        coords[rng.randrange(3)] = GaussianRational(1)
-    return ProjPoint(*coords)
+    coords = [_random_fraction(rng) for _ in range(3)]
+    if not any(num for num, _ in coords):
+        coords[rng.randrange(3)] = _ONE
+    return _point(coords[0], _ZERO, coords[1], _ZERO, coords[2], _ZERO)
 
 
 def _random_conj_pair(rng):
-    coords = [
-        GaussianRational(_random_fraction(rng), _random_fraction(rng))
-        for _ in range(3)
-    ]
-    if not any(c.im for c in coords):
-        index = rng.randrange(3)
-        coords[index] = coords[index] + GaussianRational(0, 1)
-    p = ProjPoint(*coords)
+    parts = [_random_fraction(rng) for _ in range(6)]
+    if not any(num for num, _ in parts[1::2]):
+        parts[2 * rng.randrange(3) + 1] = _ONE
+    p = _point(*parts)
     return p, p.conj()
 
 
@@ -180,12 +191,11 @@ def _random_stable_line_points(rng, count):
         points = []
         while len(points) < count:
             if count - len(points) >= 2 and rng.random() < 0.4:
-                s = GaussianRational(_random_fraction(rng), _random_fraction(rng))
-                p = ProjPoint(s, 1, 0)
+                p = _point(_random_fraction(rng), _random_fraction(rng), _ONE, _ZERO, _ZERO, _ZERO)
                 if p != p.conj():
                     points.extend([p, p.conj()])
                     continue
-            points.append(ProjPoint(GaussianRational(_random_fraction(rng)), 1, 0))
+            points.append(_point(_random_fraction(rng), _ZERO, _ONE, _ZERO, _ZERO, _ZERO))
         if len(set(points)) == count:
             return points
     raise InvalidInputError("could not sample distinct points on a line")
@@ -201,8 +211,7 @@ def random_real_stable_config(rng, size) -> PointConfig:
     if shape == "collinear":
         return PointConfig(_random_stable_line_points(rng, size))
     points = _random_stable_line_points(rng, size - 1)
-    points.append(ProjPoint(GaussianRational(_random_fraction(rng)),
-                            GaussianRational(_random_fraction(rng)), 1))
+    points.append(_point(_random_fraction(rng), _ZERO, _random_fraction(rng), _ZERO, _ONE, _ZERO))
     config = PointConfig(points)
     if config.conj() != config:
         raise InvalidInputError("line-plus-point sample lost stability")
@@ -210,17 +219,14 @@ def random_real_stable_config(rng, size) -> PointConfig:
 
 
 def random_twist(rng) -> SemiProjMap:
-    """A random invertible holomorphic map with small Q(i)-integer entries."""
+    """A random invertible holomorphic map with small Z[i] entries."""
     while True:
         rows = tuple(
-            tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                  for _ in range(3))
+            tuple(x for _ in range(3) for x in (rng.randint(-3, 3), rng.randint(-3, 3)))
             for _ in range(3)
         )
-        try:
-            return SemiProjMap(rows)
-        except InvalidInputError:  # zero or singular
-            continue
+        if zdet3(*rows) != (0, 0):  # neither zero nor singular
+            return SemiProjMap.from_z(rows)
 
 
 # --- the bundled verification run --------------------------------------------------
@@ -252,7 +258,10 @@ class BatterySummary:
 
 @dataclass
 class PaperReport:
-    """Outcome of the full verification bundle; `passed` gates the exit code."""
+    """Outcome of the full verification bundle; `passed` gates the exit code.
+
+    `pool` holds the parameter pool as normalized Q(i) literals.
+    """
 
     seed: int
     m_values: tuple
@@ -319,7 +328,7 @@ def verify_paper(m_values=(1, 2, 3), pool=DEFAULT_POOL, seed: int = 0,
     """
     if battery_samples < 0:
         raise InvalidParameterError("battery samples must not be negative")
-    pool = tuple(gq(x) for x in pool)
+    pool = tuple(format_zi(*_parameter(x)) for x in pool)
     params = []
     for m in m_values:
         if m > len(pool):

@@ -1,21 +1,17 @@
-"""Exact arithmetic in the Gaussian rationals Q(i), its text, and sums of two squares.
+"""Q(i) text and sums of two squares, in Gaussian-integer arithmetic.
 
-Points, lines and maps store normalized Gaussian-integer tuples (`plane`).
-What lives here: `GaussianRational` (re + im*i with exact rational parts)
-for scalars only (mu, t, `two_squares`, the parameter pool, input
-coordinates); the one scanner (`scan_gq`) and the one formatter
-(`format_zi`) of Q(i) text; and the decomposition of a rational into two
-squares (`two_squares`).  Q(i) is closed under complex
-conjugation, the only field automorphism the package applies.  All
-operations normalize, so equality is structural and values are hashable;
-the rational parts are gcd-reduced `Fraction`s with positive denominators.
+The package computes only with integers and Gaussian integers, pairs
+(re, im) of ints; a Q(i) value is a Gaussian integer over a positive
+integer.  What lives here: the one scanner (`scan_gq`, which `qi_parts`
+extends to ints) and the one formatter (`format_zi`) of Q(i) text, the
+product of two Gaussian integers (`zmul`), and the decomposition of a
+positive rational into two squares (`two_squares`).
 """
 
 from __future__ import annotations
 
 import re as _re
 import sys
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InternalError, InvalidInputError
@@ -31,108 +27,6 @@ class ParseError(InvalidInputError):
 
 class NotANormError(InvalidInputError):
     """The rational is not a sum of two rational squares."""
-
-
-class GaussianRational:
-    """An element of Q(i), held as exact real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        if isinstance(re, float) or isinstance(im, float):
-            raise InvalidInputError(
-                "floats are not exact; pass ints, Fractions or strings"
-            )
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def conj(self) -> "GaussianRational":
-        """Complex conjugate: negates the imaginary part."""
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """x * conj(x) = re^2 + im^2, a nonnegative rational; zero iff x = 0."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    @staticmethod
-    def _coerced(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * other.inverse()
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = GaussianRational._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return format_gq(self)
-
-
-def gq(value) -> GaussianRational:
-    """Coerce an int, Fraction, string literal or GaussianRational to Q(i)."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, str):
-        return parse_gq(value)
-    return GaussianRational(value)
 
 
 # --- string grammar ----------------------------------------------------------
@@ -177,10 +71,13 @@ def scan_gq(text: str):
     return re_num, re_den, -im_num if sign == "-" else im_num, im_den
 
 
-def parse_gq(text: str) -> GaussianRational:
-    """Parse a Q(i) literal such as "2+1i", "-3/4" or "0-5/7i"."""
-    re_num, re_den, im_num, im_den = scan_gq(text)
-    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+def qi_parts(x):
+    """scan_gq of a Q(i) literal, and (x, 1, 0, 1) of an int; InvalidInputError otherwise."""
+    if isinstance(x, str):
+        return scan_gq(x)
+    if isinstance(x, int):
+        return x, 1, 0, 1
+    raise InvalidInputError(f"expected an int or a Q(i) literal, not {type(x).__name__}")
 
 
 def _format_ratio(num, den):
@@ -199,12 +96,6 @@ def format_zi(re: int, im: int, den: int) -> str:
         return _format_ratio(re, den)
     sign = "-" if im < 0 else "+"
     return f"{_format_ratio(re, den)}{sign}{_format_ratio(abs(im), den)}i"
-
-
-def format_gq(x: GaussianRational) -> str:
-    """Format so that parse_gq(format_gq(x)) == x."""
-    (a, b), (c, d) = x.re.as_integer_ratio(), x.im.as_integer_ratio()
-    return format_zi(a * d, c * b, b * d)
 
 
 # --- sum of two squares ------------------------------------------------------
@@ -390,34 +281,47 @@ def _cornacchia(p):
     return (max(b, y), min(b, y))
 
 
+def zmul(a, b):
+    """The product of two Gaussian integers."""
+    ar, ai = a
+    br, bi = b
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
 def _gaussian_integer_with_norm(n):
     """A Gaussian integer of norm exactly n, or NotANormError."""
-    z = GaussianRational(1)
+    z = (1, 0)
     for p, e in _factorize(n):
         if p == 2:
-            z = z * GaussianRational(1, 1) ** e
+            x = (1, 1)
         elif p % 4 == 1:
-            x, y = _cornacchia(p)
-            z = z * GaussianRational(x, y) ** e
+            x = _cornacchia(p)
+        elif e % 2:
+            raise NotANormError(
+                f"{p} = 3 (mod 4) divides to odd order {e}: not a sum of two squares"
+            )
         else:
-            if e % 2:
-                raise NotANormError(
-                    f"{p} = 3 (mod 4) divides to odd order {e}: not a sum of two squares"
-                )
-            z = z * GaussianRational(p ** (e // 2))
+            x, e = (p, 0), e // 2
+        for _ in range(e):
+            z = zmul(z, x)
     return z
 
 
-def two_squares(mu) -> GaussianRational:
-    """Some t in Q(i) with norm(t) == mu, for positive rational mu.
+def two_squares(num: int, den: int):
+    """(T, q) with norm(T) / q^2 == num / den, for positive integers num and den.
 
-    Found by Gaussian-integer factorization of numerator and denominator:
-    Cornacchia on primes = 1 mod 4, pairing of primes = 3 mod 4.  Raises
-    NotANormError when a prime = 3 mod 4 appears to odd order.
+    T is a Gaussian integer and q a positive integer, gcd(T_re, T_im, q) = 1.
+    With num / den reduced to A / B, T / q = X / Y = X conj(Y) / B for
+    Gaussian integers of norms A and B, found by factorization: Cornacchia
+    on primes = 1 mod 4, pairing of primes = 3 mod 4.  Raises NotANormError
+    when a prime = 3 mod 4 appears to odd order.
     """
-    mu = Fraction(mu)
-    if mu <= 0:
-        raise NotANormError(f"{mu} is not positive")
-    num = _gaussian_integer_with_norm(mu.numerator)
-    den = _gaussian_integer_with_norm(mu.denominator)
-    return num / den
+    if num <= 0 or den <= 0:
+        raise NotANormError(f"{num}/{den} is not positive")
+    g = gcd(num, den)
+    x = _gaussian_integer_with_norm(num // g)
+    yr, yi = _gaussian_integer_with_norm(den // g)
+    tr, ti = zmul(x, (yr, -yi))
+    q = den // g
+    g = gcd(tr, ti, q)
+    return (tr // g, ti // g), q // g

@@ -27,7 +27,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .gaussian import format_zi, gq, scan_gq
+from .gaussian import format_zi, qi_parts
 
 
 class DegenerateInputError(InvalidInputError):
@@ -110,13 +110,6 @@ def zconj(v):
     return tuple([-x if k & 1 else x for k, x in enumerate(v)])
 
 
-def zmul(a, b):
-    """The product of two Gaussian integers."""
-    ar, ai = a
-    br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
-
-
 def zscale(c, v):
     """c = (cr, ci) times every entry of a Z[i] vector, or of a matrix given as rows."""
     if isinstance(v[0], tuple):
@@ -189,20 +182,22 @@ def zgeneral_position(v1, v2, v3, v4):
 # --- conversion to and from Q(i) ---------------------------------------------------
 
 
+def zclear(ratios):
+    """The Z[i] vector of (numerator, denominator) pairs, re and im alternating,
+    times the lcm of the denominators."""
+    m = lcm(*[den for _, den in ratios])
+    return tuple([num * (m // den) for num, den in ratios])
+
+
 def _from_qi(values, message):
-    """Q(i) values or literals as one Z[i] vector, times the lcm of their denominators."""
+    """Ints or Q(i) literals as one Z[i] vector, times the lcm of their denominators."""
     ratios = []
     for x in values:
-        if isinstance(x, str):
-            parts = scan_gq(x)
-        else:
-            c = gq(x)
-            parts = c.re.as_integer_ratio() + c.im.as_integer_ratio()
+        parts = qi_parts(x)
         ratios += (parts[:2], parts[2:])
     if not any(num for num, _ in ratios):
         raise InvalidInputError(message)
-    m = lcm(*[den for _, den in ratios])
-    return tuple([num * (m // den) for num, den in ratios])
+    return zclear(ratios)
 
 
 def _qi_text(v):

@@ -18,7 +18,6 @@ from test_equivalence import (
 )
 
 from planar_descent.cli import main as cli_main
-from planar_descent.gaussian import gq
 from planar_descent.descent import (
     descends_real,
     fom_real,
@@ -53,7 +52,7 @@ J = SemiProjMap(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
 
 
 def pt(a, b, c):
-    return ProjPoint(gq(a), gq(b), gq(c))
+    return ProjPoint(a, b, c)
 
 
 def test_criterion_1_counterexample_reproduction():

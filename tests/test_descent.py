@@ -11,7 +11,6 @@ import zi_oracle
 from planar_descent.cli import certificate_to_json
 from planar_descent.errors import InternalError, InvalidInputError
 from planar_descent.families import DEFAULT_POOL, FamilyParams, family, random_real_stable_config
-from planar_descent.gaussian import gq
 from planar_descent.descent import (
     NotACocycleError,
     descends_real,
@@ -29,6 +28,7 @@ from planar_descent.equivalence import (
 from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
 from test_equivalence import (
     FAULT_MESSAGES,
+    _paper_family,
     _random_twist,
     drop_involution_or_swap,
     oracle_map,
@@ -37,23 +37,12 @@ from test_equivalence import (
 
 
 def pt(a, b, c):
-    return ProjPoint(gq(a), gq(b), gq(c))
+    return ProjPoint(a, b, c)
 
 
 M = SemiProjMap(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 J = SemiProjMap(((0, -1, 0), (1, 0, 0), (0, 0, 1)))
 STANDARD_FRAME = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1)])
-
-
-def _paper_family(a_values, origin=False):
-    points = [pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)]
-    for a in a_values:
-        a = gq(a)
-        points.append(ProjPoint(a, gq(1), gq(0)))
-        points.append(ProjPoint(gq(1), -a.conj(), gq(0)))
-    if origin:
-        points.append(pt(0, 0, 1))
-    return PointConfig(points)
 
 
 # --- normalizer --------------------------------------------------------------------

@@ -9,7 +9,7 @@ import planar_descent.equivalence as equivalence_module
 from planar_descent.descent import descends_real
 from planar_descent.errors import InternalError, InvalidInputError
 from planar_descent.families import DEFAULT_POOL, FamilyParams, family
-from planar_descent.gaussian import GaussianRational, _is_prime, gq
+from planar_descent.gaussian import _is_prime
 from planar_descent.equivalence import (
     ConfigTag,
     NeedsReductionError,
@@ -28,6 +28,7 @@ from planar_descent.plane import (
     SemiProjMap,
     collinear,
     line_through,
+    zclear,
     zconj,
     znormal,
     zscale,
@@ -35,7 +36,12 @@ from planar_descent.plane import (
 
 
 def pt(a, b, c):
-    return ProjPoint(gq(a), gq(b), gq(c))
+    return ProjPoint(a, b, c)
+
+
+def _literal(re, im):
+    """The Q(i) literal of rational (int or Fraction) parts re and im."""
+    return f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
 
 
 # --- the library's flat Z[i] tuples as the Z[i] oracle reads them
@@ -65,12 +71,15 @@ FAMILY_F = PointConfig([pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)])
 STANDARD_FRAME = PointConfig([pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1)])
 
 
+# (x:y:z) -> (conj y:-conj x:conj z), which takes (a:1:0) to (1:-conj a:0)
+SWAP_CONJ = SemiProjMap(((0, 1, 0), (-1, 0, 0), (0, 0, 1)), antiholo=True)
+
+
 def _paper_family(a_values, origin=False):
     points = [pt(1, 0, 1), pt(-1, 0, 1), pt(0, 1, 1), pt(0, -1, 1)]
     for a in a_values:
-        a = gq(a)
-        points.append(ProjPoint(a, gq(1), gq(0)))
-        points.append(ProjPoint(gq(1), -a.conj(), gq(0)))
+        p = ProjPoint(a, 1, 0)
+        points += [p, SWAP_CONJ.apply(p)]
     if origin:
         points.append(pt(0, 0, 1))
     return PointConfig(points)
@@ -78,15 +87,13 @@ def _paper_family(a_values, origin=False):
 
 def _random_point(rng, real=False):
     while True:
-        coords = [
-            GaussianRational(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 2)),
-                0 if real else Fraction(rng.randint(-4, 4), rng.randint(1, 2)),
-            )
-            for _ in range(3)
-        ]
-        if any(coords):
-            return ProjPoint(*coords)
+        # real and imaginary parts of each coordinate, as (numerator, denominator)
+        parts = []
+        for _ in range(3):
+            parts.append((rng.randint(-4, 4), rng.randint(1, 2)))
+            parts.append((0, 1) if real else (rng.randint(-4, 4), rng.randint(1, 2)))
+        if any(num for num, _ in parts):
+            return ProjPoint.from_z(zclear(parts))
 
 
 def _random_config(rng, size, real=False):
@@ -308,10 +315,11 @@ def test_projective_key_is_scale_invariant_and_separates_points():
         assert znormal(tuple(scaled)) == znormal(v)
         # the classes store that normal form: Q(i) coordinates times a
         # nonzero Q(i) scalar give an equal point and line, printed alike
-        c = GaussianRational(Fraction(lr, rng.randint(1, 5)), Fraction(li, rng.randint(1, 5)))
-        coords = [GaussianRational(v[k], v[k + 1]) for k in (0, 2, 4)]
+        cr, ci = Fraction(lr, rng.randint(1, 5)), Fraction(li, rng.randint(1, 5))
+        coords = [(v[k], v[k + 1]) for k in (0, 2, 4)]
+        scaled = [_literal(cr * xr - ci * xi, cr * xi + ci * xr) for xr, xi in coords]
         for cls in (ProjPoint, Line):
-            a, b = cls(*coords), cls(*[c * x for x in coords])
+            a, b = cls(*[_literal(xr, xi) for xr, xi in coords]), cls(*scaled)
             assert a.z == b.z == znormal(v)
             assert a == b and hash(a) == hash(b)
             assert str(a) == str(b) and a.key() == b.key()
@@ -469,7 +477,7 @@ def test_reduction_conj_matches_reducing_the_conjugate():
         values = set()
         while len(values) < 4:
             values.add((rng.randint(-5, 5), rng.randint(-5, 5)))
-        points = [ProjPoint(GaussianRational(a, b), gq(1), gq(0)) for a, b in values]
+        points = [ProjPoint.from_z((a, b, 1, 0, 0, 0)) for a, b in values]
         config = PointConfig(points)
         reduction = reduce_to_line(config)
         other = reduce_to_line(config.conj())
@@ -482,7 +490,7 @@ def test_reduction_conj_matches_reducing_the_conjugate():
 
 
 def _p1(s, t):
-    return ProjPoint(gq(s), gq(t))
+    return ProjPoint(s, t)
 
 
 def test_pgl2_three_points_give_s3():
@@ -505,8 +513,8 @@ def test_pgl2_too_small():
 
 
 def test_pgl2_four_points_match_brute_force():
-    for lam in (gq(2), gq(-1), gq("2+1i"), gq("5/3")):
-        config = PointConfig([_p1(0, 1), _p1(1, 1), _p1(1, 0), ProjPoint(lam, gq(1))])
+    for lam in (2, -1, "2+1i", "5/3"):
+        config = PointConfig([_p1(0, 1), _p1(1, 1), _p1(1, 0), _p1(lam, 1)])
         maps = pgl2_equivalences(config, config)
         assert 24 % len(maps) == 0
         assert_matches_brute_force(maps, config, config)
@@ -518,7 +526,7 @@ def _random_line_config(rng, size):
         if rng.random() < 0.15:
             points.add(_p1(1, 0))
         else:
-            points.add(ProjPoint(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)), gq(1)))
+            points.add(ProjPoint.from_z((rng.randint(-4, 4), rng.randint(-4, 4), 1, 0)))
     return PointConfig(points)
 
 
@@ -537,8 +545,8 @@ def _stable_line_config(rng, size):
     while True:
         points = set()
         while len(points) < size:
-            z = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
-            points.update((ProjPoint(z, gq(1)), ProjPoint(z.conj(), gq(1))))
+            p = ProjPoint.from_z((rng.randint(-4, 4), rng.randint(-4, 4), 1, 0))
+            points.update((p, p.conj()))
         if len(points) == size:
             return _random_line_twist(rng).apply(PointConfig(points))
 
@@ -596,7 +604,7 @@ def test_pgl2_preserves_cross_ratio():
         while len(values) < 4:
             values.add((rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(0, 1)))
         pts = [
-            ProjPoint(GaussianRational(a, b), gq(t)) if t else ProjPoint(gq(1), GaussianRational(a, b))
+            ProjPoint.from_z((a, b, t, 0) if t else (1, 0, a, b))
             for a, b, t in values
         ]
         if len(set(pts)) < 4:

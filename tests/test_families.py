@@ -4,7 +4,6 @@ import pytest
 
 import planar_descent.equivalence as equivalence_module
 import planar_descent.families as families_module
-from planar_descent.gaussian import gq
 from planar_descent.families import (
     FamilyParams,
     InvalidParameterError,
@@ -18,7 +17,7 @@ from planar_descent.plane import PointConfig, ProjPoint
 
 
 def pt(a, b, c):
-    return ProjPoint(gq(a), gq(b), gq(c))
+    return ProjPoint(a, b, c)
 
 
 def test_family_m1_variant_s():
@@ -105,7 +104,7 @@ def test_verify_paper_small_run():
 
 
 def test_verify_paper_skips_non_generic():
-    report = verify_paper(m_values=(1,), pool=(gq("2"),), seed=0,
+    report = verify_paper(m_values=(1,), pool=("2",), seed=0,
                           battery_samples=0)
     assert report.passed
     assert all(case.skipped and not case.generic for case in report.cases)

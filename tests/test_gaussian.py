@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import re
 
@@ -10,166 +11,146 @@ from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from planar_descent.gaussian import (
-    GaussianRational,
     NotANormError,
     ParseError,
-    format_gq,
     format_zi,
-    gq,
-    parse_gq,
     scan_gq,
     _factorize,
     _is_prime,
     _strong_lucas_probable_prime,
     two_squares,
+    zmul,
 )
-from planar_descent.plane import _qi_text, zlead, znormal
+from planar_descent.plane import ProjPoint, _qi_text, zlead, znormal
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 
 
+def _conj(x):
+    return (x[0], -x[1])
+
+
+def _norm(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
 def test_mul_conjugate_pair():
-    assert gq("2+1i") * gq("2-1i") == GaussianRational(5)
+    assert zmul((2, 1), (2, -1)) == (5, 0)
 
 
 def test_div_one_by_i():
-    assert gq("1") / gq("0+1i") == GaussianRational(0, -1)
-
-
-def test_add_conjugate_pair():
-    assert gq("1/2+1/3i") + gq("1/2-1/3i") == GaussianRational(1)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        gq("1+1i") / GaussianRational(0)
-
-
-def test_floats_rejected():
-    with pytest.raises(Exception):
-        GaussianRational(0.5)
-    with pytest.raises(Exception):
-        GaussianRational(1, 0.25)
+    # the normal form divides by the leading entry: (i:1) = (1:1/i) = (1:-i)
+    assert str(ProjPoint("0+1i", 1)) == "(1:0-1i)"
+    assert ProjPoint(1, "0+1i") == ProjPoint("0-1i", 1)
 
 
 def test_conj_examples():
-    assert gq("2+1i").conj() == gq("2-1i")
-    assert gq("3").conj() == gq("3")
-    assert gq("0+5/7i").conj() == gq("0-5/7i")
-    assert gq("2+1i").conj().conj() == gq("2+1i")
-
-
-def test_norm_examples():
-    assert gq("2+1i").norm() == Fraction(5)
-    assert gq("0+1i").norm() == Fraction(1)
-    assert gq("1/2+1/2i").norm() == Fraction(1, 2)
+    assert ProjPoint("2+1i", 1, 0).conj() == ProjPoint("2-1i", 1, 0)
+    assert ProjPoint(3, 1, 0).conj() == ProjPoint(3, 1, 0)
+    assert ProjPoint("0+5/7i", 1, 0).conj() == ProjPoint("0-5/7i", 1, 0)
+    assert ProjPoint("2+1i", 1, 0).conj().conj() == ProjPoint("2+1i", 1, 0)
 
 
 def test_two_squares_five():
-    assert two_squares(5) == gq("2+1i")
+    assert two_squares(5, 1) == ((2, 1), 1)
 
 
 def test_two_squares_13_over_17():
-    # 13 = N(3+2i), 17 = N(4+1i); (3+2i)/(4+1i) = 14/17 + 5/17 i
-    value = two_squares(Fraction(13, 17))
-    assert value == gq("14/17+5/17i")
-    assert value.norm() == Fraction(13, 17)
+    # 13 = N(3+2i), 17 = N(4+1i); (3+2i)/(4+1i) = (14+5i)/17
+    (tr, ti), q = two_squares(13, 17)
+    assert ((tr, ti), q) == ((14, 5), 17)
+    assert 17 * (tr * tr + ti * ti) == 13 * q * q
 
 
 def test_two_squares_three_fails():
     with pytest.raises(NotANormError):
-        two_squares(3)
+        two_squares(3, 1)
 
 
 def test_two_squares_rejects_nonpositive():
     with pytest.raises(NotANormError):
-        two_squares(0)
+        two_squares(0, 1)
     with pytest.raises(NotANormError):
-        two_squares(Fraction(-5))
+        two_squares(-5, 1)
 
 
 def test_parse_examples():
-    assert parse_gq("2+1i") == GaussianRational(2, 1)
-    assert parse_gq("-3/4") == GaussianRational(Fraction(-3, 4))
-    assert parse_gq("0-5/7i") == GaussianRational(0, Fraction(-5, 7))
+    assert scan_gq("2+1i") == (2, 1, 1, 1)
+    assert scan_gq("-3/4") == (-3, 4, 0, 1)
+    assert scan_gq("0-5/7i") == (0, 1, -5, 7)
 
 
 def test_parse_requires_coefficient_on_i():
     with pytest.raises(ParseError) as info:
-        parse_gq("1+i")
+        scan_gq("1+i")
     assert info.value.position == 2
 
 
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
-        parse_gq("2+1i junk")
+        scan_gq("2+1i junk")
     with pytest.raises(ParseError):
-        parse_gq("2+1")
+        scan_gq("2+1")
 
 
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ParseError):
-        parse_gq("1/0")
+        scan_gq("1/0")
 
 
 def _random_value(rng):
-    return GaussianRational(
+    """A Q(i) number with small random parts, as (re, im) Fractions."""
+    return (
         Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
         Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
     )
 
 
-def test_field_axioms_on_random_operands():
-    rng = random.Random(1)
-    for _ in range(200):
-        x, y, z = (_random_value(rng) for _ in range(3))
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + y == y + x
-        assert x * y == y * x
-        if y:
-            assert (x / y) * y == x
-        if x:
-            assert x * x.inverse() == GaussianRational(1)
+def _random_gaussian_integer(rng):
+    return (rng.randint(-30, 30), rng.randint(-30, 30))
 
 
 def test_norm_is_multiplicative():
     rng = random.Random(2)
     for _ in range(200):
-        x, y = _random_value(rng), _random_value(rng)
-        assert (x * y).norm() == x.norm() * y.norm()
+        x, y = _random_gaussian_integer(rng), _random_gaussian_integer(rng)
+        assert _norm(zmul(x, y)) == _norm(x) * _norm(y)
 
 
 def test_conj_is_a_field_automorphism():
     rng = random.Random(3)
     for _ in range(200):
-        x, y = _random_value(rng), _random_value(rng)
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert (x + y).conj() == x.conj() + y.conj()
+        x, y = _random_gaussian_integer(rng), _random_gaussian_integer(rng)
+        assert _conj(zmul(x, y)) == zmul(_conj(x), _conj(y))
 
 
 def test_two_squares_on_random_norms():
     rng = random.Random(4)
     for _ in range(100):
         x = _random_value(rng)
-        if not x:
+        if not any(x):
             continue
-        mu = x.norm()
-        t = two_squares(mu)
-        assert t.norm() == mu
+        mu = _norm(x)
+        num, den = mu.numerator, mu.denominator
+        (tr, ti), q = two_squares(num, den)
+        assert den * (tr * tr + ti * ti) == num * q * q
+        assert gcd(tr, ti, q) == 1 and q > 0
 
 
 def test_format_parse_round_trip():
     rng = random.Random(5)
     for _ in range(200):
-        x = _random_value(rng)
-        assert parse_gq(format_gq(x)) == x
-    assert format_gq(GaussianRational(0)) == "0"
-    assert format_gq(GaussianRational(2, -1)) == "2-1i"
-    assert format_gq(GaussianRational(0, Fraction(5, 7))) == "0+5/7i"
+        re_part, im_part = _random_value(rng)
+        den = re_part.denominator * im_part.denominator
+        text = format_zi(int(re_part * den), int(im_part * den), den)
+        assert text == _fraction_format(re_part, im_part)
+        rn, rd, im, idn = scan_gq(text)
+        assert (Fraction(rn, rd), Fraction(im, idn)) == (re_part, im_part)
+    assert format_zi(0, 0, 1) == "0"
+    assert format_zi(2, -1, 1) == "2-1i"
+    assert format_zi(0, 5, 7) == "0+5/7i"
 
 
 # --- the integer formatter and scanner against the Fraction rules --------------
@@ -198,7 +179,6 @@ def _fraction_parts(v, lead):
 def test_integer_formatter_matches_fraction_formatting(v, lead):
     expected = [_fraction_format(re, im) for re, im in _fraction_parts(v, lead)]
     assert [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)] == expected
-    assert [format_gq(GaussianRational(re, im)) for re, im in _fraction_parts(v, lead)] == expected
     if any(v):
         z = znormal(v)
         assert _qi_text(z) == [_fraction_format(re, im) for re, im in _fraction_parts(z, zlead(z))]
@@ -208,7 +188,7 @@ _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _fraction_parse(text):
-    """The grammar read with Fractions: (value, None) or (None, (message, position))."""
+    """The grammar read with Fractions: ((re, im), None) or (None, (message, position))."""
     parts, pos = [], 0
     for k in range(2):
         m = _RATIONAL.match(text, pos)
@@ -220,7 +200,7 @@ def _fraction_parse(text):
         pos = m.end()
         if k == 0:
             if pos == len(text):
-                return GaussianRational(parts[0]), None
+                return (parts[0], Fraction(0)), None
             if text[pos] not in "+-":
                 return None, ("expected '+', '-' or end of input", pos)
             sign, pos = text[pos], pos + 1
@@ -228,22 +208,20 @@ def _fraction_parse(text):
         return None, ("expected 'i'", pos)
     if pos + 1 != len(text):
         return None, ("trailing characters", pos + 1)
-    return GaussianRational(parts[0], -parts[1] if sign == "-" else parts[1]), None
+    return (parts[0], -parts[1] if sign == "-" else parts[1]), None
 
 
 def _assert_scans_like_fractions(text):
     value, error = _fraction_parse(text)
     if error is None:
         rn, rd, im, idn = scan_gq(text)
-        assert GaussianRational(Fraction(rn, rd), Fraction(im, idn)) == value
-        assert parse_gq(text) == value
+        assert (Fraction(rn, rd), Fraction(im, idn)) == value
         return
     message, position = error
-    for parse in (scan_gq, parse_gq):
-        with pytest.raises(ParseError) as info:
-            parse(text)
-        assert (str(info.value), info.value.position) == (
-            f"{message} (at position {position})", position)
+    with pytest.raises(ParseError) as info:
+        scan_gq(text)
+    assert (str(info.value), info.value.position) == (
+        f"{message} (at position {position})", position)
 
 
 @_derandomized

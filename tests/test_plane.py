@@ -8,7 +8,8 @@ import pytest
 import planar_descent
 from planar_descent.cli import map_from_json, map_to_json, point_from_string
 from planar_descent.errors import InvalidInputError
-from planar_descent.gaussian import GaussianRational, gq
+from planar_descent.families import FamilyParams
+from planar_descent.gaussian import scan_gq
 from planar_descent.plane import (
     DegenerateInputError,
     Line,
@@ -17,6 +18,8 @@ from planar_descent.plane import (
     SemiProjMap,
     collinear,
     line_through,
+    zclear,
+    zdet2,
     zdet3,
     zlead,
     zscale,
@@ -24,53 +27,56 @@ from planar_descent.plane import (
 
 
 def pt(a, b, c):
-    return ProjPoint(gq(a), gq(b), gq(c))
+    return ProjPoint(a, b, c)
 
 
 def _random_point(rng, dim=3):
     while True:
-        coords = [
-            GaussianRational(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-            )
-            for _ in range(dim)
-        ]
-        if any(coords):
-            return ProjPoint(*coords)
+        # real and imaginary parts of each coordinate, as (numerator, denominator)
+        parts = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2 * dim)]
+        if any(num for num, _ in parts):
+            return ProjPoint.from_z(zclear(parts))
 
 
 def _random_map(rng, antiholo=False, dim=3):
     while True:
         rows = tuple(
-            tuple(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(dim))
+            tuple(x for _ in range(dim) for x in (rng.randint(-4, 4), rng.randint(-4, 4)))
             for _ in range(dim)
         )
-        try:
-            return SemiProjMap(rows, antiholo)
-        except InvalidInputError:
-            continue
+        if (zdet2 if dim == 2 else zdet3)(*rows) != (0, 0):
+            return SemiProjMap.from_z(rows, antiholo)
 
 
 # --- one representation ---------------------------------------------------------
 
 
-def _imported_names(module):
-    """Every module and name that a source file of the package imports, read with `ast`."""
-    path = Path(planar_descent.__file__).resolve().parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+PACKAGE = Path(planar_descent.__file__).resolve().parent
+
+
+def _names(module):
+    """Every module and name that a source file of the package imports, defines
+    or reads, read with `ast`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield node.module or ""
             yield from (alias.name for alias in node.names)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
-@pytest.mark.parametrize("module", ["plane", "equivalence"])
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_points_lines_and_maps_have_one_representation(module):
-    # they are normalized Z[i] tuples; Q(i) values exist there only as text
-    names = set(_imported_names(module))
+    # they are normalized Z[i] tuples, scalars are ints and Z[i] pairs, and
+    # Q(i) values exist only as text
+    names = set(_names(module))
     assert names
     for name in ("fractions", "Fraction", "GaussianRational"):
         assert name not in names, (module, name)
@@ -120,8 +126,8 @@ def test_canonicalization_idempotent():
         assert h == g and hash(h) == hash(g) and repr(h) == repr(g) and h.key() == g.key()
         # the text is the stored Z[i] tuple divided by its leading entry
         lead = zlead(p.z)
-        assert [(x.re * lead, x.im * lead) for x in map(gq, _text(p))] \
-            == list(zip(p.z[::2], p.z[1::2]))
+        assert [(Fraction(rn, rd) * lead, Fraction(im, idn) * lead)
+                for rn, rd, im, idn in map(scan_gq, _text(p))] == list(zip(p.z[::2], p.z[1::2]))
     line = line_through(pt(1, 2, 3), pt(0, 1, 1))
     assert Line(*_text(line)) == line
 
@@ -172,6 +178,24 @@ def test_text_of_points_lines_and_maps_parses_back():
 def test_point_rejects_zero():
     with pytest.raises(Exception):
         ProjPoint(0, 0, 0)
+
+
+def test_floats_rejected():
+    with pytest.raises(InvalidInputError):
+        ProjPoint(0.5, 1, 0)
+    with pytest.raises(InvalidInputError):
+        Line(1, 0.25, 0)
+    with pytest.raises(InvalidInputError):
+        SemiProjMap(((1, 0), (0, 0.25)))
+
+
+@pytest.mark.parametrize("value", [None, [1], Fraction(1, 2), 1j],
+                         ids=["None", "list", "Fraction", "complex"])
+def test_coordinates_are_ints_or_literals(value):
+    for build in (lambda: ProjPoint(value, 1, 0), lambda: Line(value, 1, 0),
+                  lambda: SemiProjMap(((value, 0), (0, 1))), lambda: FamilyParams(1, [value])):
+        with pytest.raises(InvalidInputError):
+            build()
 
 
 def test_dimension_mismatches_rejected():

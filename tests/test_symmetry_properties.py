@@ -11,7 +11,6 @@ from planar_descent.descent import descends_real, fom_real, normalizer, real_mod
 from planar_descent.equivalence import ConfigTag, Symmetries, aut_group, classify
 from planar_descent.errors import InvalidInputError
 from planar_descent.families import FamilyParams, family
-from planar_descent.gaussian import GaussianRational
 from planar_descent.plane import PointConfig, ProjPoint, SemiProjMap
 import zi_oracle
 from test_equivalence import oracle_map
@@ -29,7 +28,7 @@ COLLINEAR = _TWIST.apply(PointConfig(_ON_LINE + [ProjPoint(1, 1, 0)]))
 LINE_PLUS_POINT = _TWIST.apply(PointConfig(_ON_LINE + [ProjPoint(1, 2, 1)]))
 
 small = st.integers(-2, 2)
-gaussian_integers = st.builds(GaussianRational, small, small)
+gaussian_integers = st.tuples(small, small)
 twists = (
     st.lists(st.tuples(small, small), min_size=9, max_size=9)
     .map(lambda v: (tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9])))
@@ -42,9 +41,11 @@ def random_configurations(draw):
     """5 or 6 points with small Gaussian-integer coordinates and a frame."""
     vectors = draw(st.lists(st.tuples(gaussian_integers, gaussian_integers,
                                       gaussian_integers), min_size=5, max_size=6))
+    flat = [sum(v, ()) for v in vectors]
+    assume(all(any(z) for z in flat))  # no zero vector
     try:
-        config = PointConfig(ProjPoint(*v) for v in vectors)
-    except InvalidInputError:  # a zero vector or a repeated point
+        config = PointConfig(ProjPoint.from_z(z) for z in flat)
+    except InvalidInputError:  # a repeated point
         assume(False)
     assume(classify(config).tag is ConfigTag.HAS_FRAME)
     return config
