@@ -48,7 +48,6 @@ from .plane import (
     zdet3,
     zlead,
     zmatmul,
-    zmatvec,
     zscale,
 )
 
@@ -251,7 +250,7 @@ def _standardize_tiny(config: PointConfig) -> SemiProjMap:
     pts = config.points
     leads = [zlead(p.z) for p in pts]
     m = lcm(*leads)
-    vs = [tuple([x * (m // lead) for x in p.z]) for p, lead in zip(pts, leads)]
+    vs = [zscale((m // lead, 0), p.z) for p, lead in zip(pts, leads)]
     if len(pts) < 3:
         matrix = _complete_to_basis(vs, (m, 0))
     elif zdet3(*vs) != (0, 0):
@@ -271,9 +270,10 @@ def _standardize_tiny(config: PointConfig) -> SemiProjMap:
         da, db = zdet2(p3, p2), zdet2(p1, p3)
         if da == (0, 0) or db == (0, 0):
             raise InternalError("distinct collinear points gave zero weight")
-        if zmatvec(zcolumns((v1, v2)), da + db) != zscale(d, v3):
+        w1, w2 = zscale(da, v1), zscale(db, v2)
+        if tuple([x + y for x, y in zip(w1, w2)]) != zscale(d, v3):
             raise InternalError("collinear solve failed to extend")
-        matrix = _complete_to_basis([zscale(da, v1), zscale(db, v2)], zscale(d, (m, 0)))
+        matrix = _complete_to_basis([w1, w2], (d[0] * m, d[1] * m))
     return SemiProjMap.from_z(matrix)
 
 

@@ -117,7 +117,7 @@ from .plane import (
     zdet3,
     zgeneral_position,
     zmatmul,
-    zmatvec3,
+    zmatvec,
     znormal,
     zscale,
 )
@@ -207,7 +207,7 @@ class _Brackets:
 
     def conj(self) -> "_Brackets":
         """The conjugate points' table, in the same index order; it copies no row."""
-        return _Brackets(zconj(self.vectors), self._images[::-1], self)
+        return _Brackets(tuple([zconj(v) for v in self.vectors]), self._images[::-1], self)
 
     def residue_row(self, f):
         """(residues, inverses): [t, *f] mod p up to sign, and their inverses (0 for 0).
@@ -313,11 +313,14 @@ def _frame_coordinates(table, frame):
 
 def _key(slots, scales, t):
     """The exact key of point t: the normal form of its frame coordinates."""
-    v = []
-    for (sr, si), slot in zip(scales, slots):
-        xr, xi = slot[t]
-        v += (sr * xr - si * xi, sr * xi + si * xr)
-    return znormal(v)
+    if len(slots) == 3:
+        (ar, ai), (br, bi), (cr, ci) = scales
+        (xr, xi), (yr, yi), (zr, zi) = slots[0][t], slots[1][t], slots[2][t]
+        return znormal((ar * xr - ai * xi, ar * xi + ai * xr, br * yr - bi * yi,
+                        br * yi + bi * yr, cr * zr - ci * zi, cr * zi + ci * zr))
+    (ar, ai), (br, bi) = scales
+    (xr, xi), (yr, yi) = slots[0][t], slots[1][t]
+    return znormal((ar * xr - ai * xi, ar * xi + ai * xr, br * yr - bi * yi, br * yi + bi * yr))
 
 
 def _frame_matrix(vectors, frame, u):
@@ -479,7 +482,7 @@ def _permutation_pairs(points, maps):
     pairs = []
     for g in maps:
         vectors = conj_points if g.antiholo else points
-        perm = tuple([index.get(znormal(zmatvec3(g.z, v))) for v in vectors])
+        perm = tuple([index.get(znormal(zmatvec(g.z, v))) for v in vectors])
         if None in perm or len(set(perm)) != n:
             raise InternalError(f"{g!r} does not permute the configuration")
         pairs.append((perm, g.antiholo))

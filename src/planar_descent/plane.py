@@ -13,7 +13,10 @@ normal form: multiplied by the conjugate of the leading nonzero entry
 The leading entry becomes a positive integer L, and proportional tuples
 get the same normal form, so equality and hashing are structural, and
 apply, compose and inverse are Gaussian-integer products.  The kernels
-below are the only linear algebra the decision procedures use.
+below are the only linear algebra the decision procedures use.  Each is
+straight-line code with one body per shape, and the shapes are the ones
+the line and the plane need: vectors of 2 or 3 Gaussian integers
+(4 or 6 ints) and 2x2 or 3x3 matrices (2 or 3 rows).
 
 Points and lines sort by their normal form (`key()` is `z`), maps by
 (antiholo, not the identity, `z`).  Q(i) values exist only as text:
@@ -66,29 +69,66 @@ def zdet3(p, q, r):
 
 
 def zmatvec(m, v):
-    """The product of a Z[i] matrix (any tuple of rows) and a vector; zmatvec3 unrolls 3x3."""
-    out = []
-    for row in m:
-        re = im = 0
-        for j in range(0, len(v), 2):
-            re += row[j] * v[j] - row[j + 1] * v[j + 1]
-            im += row[j] * v[j + 1] + row[j + 1] * v[j]
-        out += (re, im)
-    return tuple(out)
-
-
-def zmatvec3(m, v):
-    ar, ai, br, bi, cr, ci = v
-    out = []
-    for r0, i0, r1, i1, r2, i2 in m:
-        out.append((r0 * ar - i0 * ai) + (r1 * br - i1 * bi) + (r2 * cr - i2 * ci))
-        out.append((r0 * ai + i0 * ar) + (r1 * bi + i1 * br) + (r2 * ci + i2 * cr))
-    return tuple(out)
+    """The product of a 2x2 or 3x3 Z[i] matrix and a vector of its size."""
+    if len(v) == 6:
+        ar, ai, br, bi, cr, ci = v
+        (pr, pi, qr, qi, sr, si), (tr, ti, ur, ui, wr, wi), (xr, xi, yr, yi, zr, zi) = m
+        return (
+            pr * ar - pi * ai + qr * br - qi * bi + sr * cr - si * ci,
+            pr * ai + pi * ar + qr * bi + qi * br + sr * ci + si * cr,
+            tr * ar - ti * ai + ur * br - ui * bi + wr * cr - wi * ci,
+            tr * ai + ti * ar + ur * bi + ui * br + wr * ci + wi * cr,
+            xr * ar - xi * ai + yr * br - yi * bi + zr * cr - zi * ci,
+            xr * ai + xi * ar + yr * bi + yi * br + zr * ci + zi * cr,
+        )
+    ar, ai, br, bi = v
+    (pr, pi, qr, qi), (tr, ti, ur, ui) = m
+    return (
+        pr * ar - pi * ai + qr * br - qi * bi, pr * ai + pi * ar + qr * bi + qi * br,
+        tr * ar - ti * ai + ur * br - ui * bi, tr * ai + ti * ar + ur * bi + ui * br,
+    )
 
 
 def zmatmul(a, b):
-    columns = zcolumns(b)
-    return tuple([zmatvec(columns, row) for row in a])
+    """The product of two 2x2 or two 3x3 Z[i] matrices."""
+    if len(a) == 3:
+        (ar, ai, br, bi, cr, ci), (dr, di, er, ei, fr, fi), (gr, gi, hr, hi, kr, ki) = b
+        (pr, pi, qr, qi, sr, si), (tr, ti, ur, ui, wr, wi), (xr, xi, yr, yi, zr, zi) = a
+        return (
+            (
+                pr * ar - pi * ai + qr * dr - qi * di + sr * gr - si * gi,
+                pr * ai + pi * ar + qr * di + qi * dr + sr * gi + si * gr,
+                pr * br - pi * bi + qr * er - qi * ei + sr * hr - si * hi,
+                pr * bi + pi * br + qr * ei + qi * er + sr * hi + si * hr,
+                pr * cr - pi * ci + qr * fr - qi * fi + sr * kr - si * ki,
+                pr * ci + pi * cr + qr * fi + qi * fr + sr * ki + si * kr,
+            ), (
+                tr * ar - ti * ai + ur * dr - ui * di + wr * gr - wi * gi,
+                tr * ai + ti * ar + ur * di + ui * dr + wr * gi + wi * gr,
+                tr * br - ti * bi + ur * er - ui * ei + wr * hr - wi * hi,
+                tr * bi + ti * br + ur * ei + ui * er + wr * hi + wi * hr,
+                tr * cr - ti * ci + ur * fr - ui * fi + wr * kr - wi * ki,
+                tr * ci + ti * cr + ur * fi + ui * fr + wr * ki + wi * kr,
+            ), (
+                xr * ar - xi * ai + yr * dr - yi * di + zr * gr - zi * gi,
+                xr * ai + xi * ar + yr * di + yi * dr + zr * gi + zi * gr,
+                xr * br - xi * bi + yr * er - yi * ei + zr * hr - zi * hi,
+                xr * bi + xi * br + yr * ei + yi * er + zr * hi + zi * hr,
+                xr * cr - xi * ci + yr * fr - yi * fi + zr * kr - zi * ki,
+                xr * ci + xi * cr + yr * fi + yi * fr + zr * ki + zi * kr,
+            ),
+        )
+    (ar, ai, br, bi), (cr, ci, dr, di) = b
+    (pr, pi, qr, qi), (tr, ti, ur, ui) = a
+    return (
+        (
+            pr * ar - pi * ai + qr * cr - qi * ci, pr * ai + pi * ar + qr * ci + qi * cr,
+            pr * br - pi * bi + qr * dr - qi * di, pr * bi + pi * br + qr * di + qi * dr,
+        ), (
+            tr * ar - ti * ai + ur * cr - ui * ci, tr * ai + ti * ar + ur * ci + ui * cr,
+            tr * br - ti * bi + ur * dr - ui * di, tr * bi + ti * br + ur * di + ui * dr,
+        ),
+    )
 
 
 def zadjugate2(m):
@@ -98,68 +138,114 @@ def zadjugate2(m):
 
 def zadjugate3(m):
     """Rows are the cross products of the column pairs (1, 2), (2, 0), (0, 1)."""
-    (ar, ai, br, bi, cr, ci), (dr, di, er, ei, fr, fi), (gr, gi, hr, hi, ir, ii) = m
-    c0, c1, c2 = (ar, ai, dr, di, gr, gi), (br, bi, er, ei, hr, hi), (cr, ci, fr, fi, ir, ii)
+    c0, c1, c2 = zcolumns(m)
     return (zcross(c1, c2), zcross(c2, c0), zcross(c0, c1))
 
 
 def zconj(v):
-    """Complex conjugate of a Z[i] vector, or of a matrix given as a tuple of rows."""
-    if isinstance(v[0], tuple):
-        return tuple([zconj(row) for row in v])
-    return tuple([-x if k & 1 else x for k, x in enumerate(v)])
+    """The complex conjugate of a vector of 2 or 3 Gaussian integers, or of a 2x2 or 3x3
+    matrix given as rows."""
+    n = len(v)
+    if n == 6:
+        ar, ai, br, bi, cr, ci = v
+        return (ar, -ai, br, -bi, cr, -ci)
+    if n == 4:
+        ar, ai, br, bi = v
+        return (ar, -ai, br, -bi)
+    if n == 3:
+        return (zconj(v[0]), zconj(v[1]), zconj(v[2]))
+    return (zconj(v[0]), zconj(v[1]))
 
 
 def zscale(c, v):
-    """c = (cr, ci) times every entry of a Z[i] vector, or of a matrix given as rows."""
-    if isinstance(v[0], tuple):
-        return tuple([zscale(c, row) for row in v])
-    cr, ci = c
-    out = []
-    for j in range(0, len(v), 2):
-        out.append(cr * v[j] - ci * v[j + 1])
-        out.append(cr * v[j + 1] + ci * v[j])
-    return tuple(out)
+    """c = (cr, ci) times every entry of a vector of 2 or 3 Gaussian integers, or of a
+    2x2 or 3x3 matrix given as rows."""
+    n = len(v)
+    if n == 6:
+        cr, ci = c
+        ar, ai, br, bi, xr, xi = v
+        return (
+            cr * ar - ci * ai, cr * ai + ci * ar, cr * br - ci * bi, cr * bi + ci * br,
+            cr * xr - ci * xi, cr * xi + ci * xr,
+        )
+    if n == 4:
+        cr, ci = c
+        ar, ai, br, bi = v
+        return (cr * ar - ci * ai, cr * ai + ci * ar, cr * br - ci * bi, cr * bi + ci * br)
+    if n == 3:
+        return (zscale(c, v[0]), zscale(c, v[1]), zscale(c, v[2]))
+    return (zscale(c, v[0]), zscale(c, v[1]))
 
 
 def zcolumns(cols):
-    """The matrix with the given vectors as its columns."""
-    return tuple([
-        tuple([x for col in cols for x in col[j:j + 2]]) for j in range(0, len(cols[0]), 2)
-    ])
+    """The 2x2 or 3x3 matrix with the given vectors as its columns: the transpose of rows."""
+    if len(cols) == 3:
+        (ar, ai, br, bi, cr, ci), (dr, di, er, ei, fr, fi), (gr, gi, hr, hi, kr, ki) = cols
+        return ((ar, ai, dr, di, gr, gi), (br, bi, er, ei, hr, hi), (cr, ci, fr, fi, kr, ki))
+    (ar, ai, br, bi), (cr, ci, dr, di) = cols
+    return ((ar, ai, cr, ci), (br, bi, dr, di))
 
 
 ZIDENTITY = {
-    n: tuple(tuple(1 if c == 2 * r else 0 for c in range(2 * n)) for r in range(n))
-    for n in (2, 3)
+    2: ((1, 0, 0, 0), (0, 0, 1, 0)),
+    3: ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
 }
 
 
 def znormal(v):
-    """The normal form of a nonzero Z[i] vector, an exact key of its projective point.
+    """The normal form of a nonzero vector of 2 or 3 Gaussian integers, an exact key of
+    its projective point.
 
     Multiplying by the conjugate of the leading nonzero entry x makes
     that entry the positive integer |x|^2; proportional vectors then
     differ by a positive rational, which dividing by the gcd of all
-    integer parts removes.
+    integer parts removes.  A positive integer x only scales the vector,
+    so then the gcd alone is divided out.
     """
-    k = 0
-    while not (v[k] or v[k + 1]):
-        k += 2
-    xr, xi = v[k], v[k + 1]
-    out = []
-    for j in range(0, len(v), 2):
-        out.append(v[j] * xr + v[j + 1] * xi)
-        out.append(v[j + 1] * xr - v[j] * xi)
-    g = gcd(*out)
-    return tuple([x // g for x in out])
+    if len(v) == 6:
+        ar, ai, br, bi, cr, ci = v
+        if ar or ai:
+            xr, xi = ar, ai
+        elif br or bi:
+            xr, xi = br, bi
+        else:
+            xr, xi = cr, ci
+        if xi or xr < 0:
+            ar, ai, br, bi, cr, ci = (
+                ar * xr + ai * xi, ai * xr - ar * xi, br * xr + bi * xi, bi * xr - br * xi,
+                cr * xr + ci * xi, ci * xr - cr * xi,
+            )
+        g = gcd(ar, ai, br, bi, cr, ci)
+        if g == 1:
+            return (ar, ai, br, bi, cr, ci)
+        return (ar // g, ai // g, br // g, bi // g, cr // g, ci // g)
+    ar, ai, br, bi = v
+    xr, xi = (ar, ai) if ar or ai else (br, bi)
+    if xi or xr < 0:
+        ar, ai, br, bi = ar * xr + ai * xi, ai * xr - ar * xi, br * xr + bi * xi, bi * xr - br * xi
+    g = gcd(ar, ai, br, bi)
+    if g == 1:
+        return (ar, ai, br, bi)
+    return (ar // g, ai // g, br // g, bi // g)
 
 
 def znormal_matrix(m):
-    """The normal form of a nonzero Z[i] matrix, taken row-major as one vector."""
-    flat = znormal([x for row in m for x in row])
-    width = 2 * len(m)
-    return tuple([flat[j:j + width] for j in range(0, len(flat), width)])
+    """The normal form of a nonzero 2x2 or 3x3 Z[i] matrix, taken row-major as one vector."""
+    n = len(m)
+    flat = m[0] + m[1] + m[2] if n == 3 else m[0] + m[1]
+    k = 0
+    while not (flat[k] or flat[k + 1]):
+        k += 2
+    xr, xi = flat[k], flat[k + 1]
+    if xi or xr < 0:
+        m = zscale((xr, -xi), m)
+        flat = m[0] + m[1] + m[2] if n == 3 else m[0] + m[1]
+    g = gcd(*flat)
+    if g != 1:
+        flat = tuple([x // g for x in flat])
+    if n == 3:
+        return (flat[:6], flat[6:12], flat[12:])
+    return (flat[:4], flat[4:])
 
 
 def zlead(values):
@@ -277,7 +363,10 @@ class Line(_NormalVector):
         self.z = znormal(_from_qi((a, b, c), "projective coordinates must not all be zero"))
 
     def contains(self, p: ProjPoint) -> bool:
-        return zmatvec3((self.z,), _plane(p)) == (0, 0)
+        ar, ai, br, bi, cr, ci = self.z
+        xr, xi, yr, yi, zr, zi = _plane(p)
+        return (ar * xr - ai * xi + br * yr - bi * yi + cr * zr - ci * zi == 0
+                and ar * xi + ai * xr + br * yi + bi * yr + cr * zi + ci * zr == 0)
 
     def __repr__(self):
         return f"Line{self}"
@@ -392,14 +481,15 @@ class SemiProjMap:
 
     def apply(self, obj):
         """Apply to a ProjPoint or a PointConfig of the map's dimension."""
-        if isinstance(obj, PointConfig):
-            return PointConfig(self.apply(p) for p in obj)
-        v = obj.z
-        if len(v) == 6 and len(self.z) == 3:
-            return ProjPoint.from_z(zmatvec3(self.z, zconj(v) if self.antiholo else v))
-        if len(v) == 4 and len(self.z) == 2:
-            return ProjPoint.from_z(zmatvec(self.z, zconj(v) if self.antiholo else v))
-        raise InvalidInputError("the point and the map differ in dimension")
+        config = isinstance(obj, PointConfig)
+        points, m = obj.points if config else (obj,), self.z
+        if len(points[0].z) != 2 * len(m):
+            raise InvalidInputError("the point and the map differ in dimension")
+        if self.antiholo:
+            images = [ProjPoint.from_z(zmatvec(m, zconj(p.z))) for p in points]
+        else:
+            images = [ProjPoint.from_z(zmatvec(m, p.z)) for p in points]
+        return PointConfig(images) if config else images[0]
 
     def compose(self, other: "SemiProjMap") -> "SemiProjMap":
         """self after other, with the semilinear composition law."""

@@ -179,7 +179,7 @@ def _fraction_parts(v, lead):
 def test_integer_formatter_matches_fraction_formatting(v, lead):
     expected = [_fraction_format(re, im) for re, im in _fraction_parts(v, lead)]
     assert [format_zi(v[j], v[j + 1], lead) for j in range(0, len(v), 2)] == expected
-    if any(v):
+    if len(v) >= 4 and any(v):  # znormal takes vectors of 2 or 3 Gaussian integers
         z = znormal(v)
         assert _qi_text(z) == [_fraction_format(re, im) for re, im in _fraction_parts(z, zlead(z))]
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planar_descent
+import zi_oracle
 from planar_descent.cli import map_from_json, map_to_json, point_from_string
 from planar_descent.errors import InvalidInputError
 from planar_descent.families import FamilyParams
@@ -18,10 +21,18 @@ from planar_descent.plane import (
     SemiProjMap,
     collinear,
     line_through,
+    zadjugate2,
+    zadjugate3,
     zclear,
+    zcolumns,
+    zconj,
     zdet2,
     zdet3,
     zlead,
+    zmatmul,
+    zmatvec,
+    znormal,
+    znormal_matrix,
     zscale,
 )
 
@@ -211,6 +222,8 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(InvalidInputError):
         line_map.apply(pt(1, 2, 3))
     with pytest.raises(InvalidInputError):
+        plane_map.apply(PointConfig([ProjPoint(1, 2), ProjPoint(0, 1)]))
+    with pytest.raises(InvalidInputError):
         plane_map * line_map
     with pytest.raises(InvalidInputError):
         PointConfig([ProjPoint(1, 2), pt(1, 2, 3)])
@@ -282,6 +295,8 @@ def test_apply_respects_composition(dim):
         h = _random_map(rng, antiholo=rng.random() < 0.5, dim=dim)
         p = _random_point(rng, dim)
         assert (g * h).apply(p) == g.apply(h.apply(p))
+        config = PointConfig({p, _random_point(rng, dim), _random_point(rng, dim)})
+        assert g.apply(config) == PointConfig([g.apply(q) for q in config])
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
 
@@ -297,3 +312,95 @@ def test_conj_config_examples():
 def test_config_rejects_duplicates():
     with pytest.raises(Exception):
         PointConfig([pt(1, 0, 0), pt(2, 0, 0)])
+
+
+# --- the fixed-shape kernels against the Z[i] oracle ----------------------------------
+
+
+_kernel_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_ints = st.one_of(st.just(0), st.integers(-60, 60), st.integers(-2 ** 80, 2 ** 80))
+_gaussians = st.tuples(_ints, _ints)
+_nonzero_ints = st.integers(1, 2 ** 80)
+# leading entries: positive real, negative real, purely imaginary, or any
+_leads = st.one_of(
+    _nonzero_ints.map(lambda x: (x, 0)),
+    _nonzero_ints.map(lambda x: (-x, 0)),
+    st.tuples(st.just(0), st.one_of(_nonzero_ints, _nonzero_ints.map(lambda y: -y))),
+    _gaussians.filter(lambda x: x != (0, 0)),
+)
+
+
+def _entries(size):
+    return st.lists(_gaussians, min_size=size, max_size=size)
+
+
+@st.composite
+def _nonzero_entries(draw, size):
+    """size Gaussian integers: some zero ones, a nonzero lead (`_leads`), then any ones."""
+    zeros = draw(st.integers(0, size - 1))
+    return [(0, 0)] * zeros + [draw(_leads)] + draw(_entries(size - zeros - 1))
+
+
+def _square(entries, n):
+    """n * n Gaussian integers as the rows of an oracle matrix."""
+    return tuple(tuple(entries[r * n:(r + 1) * n]) for r in range(n))
+
+
+def _flat(v):
+    """Gaussian integers of the oracle as one flat Z[i] tuple, as the kernels read them."""
+    return tuple(part for x in v for part in x)
+
+
+def _z(m):
+    """An oracle matrix as a tuple of flat Z[i] rows."""
+    return tuple(map(_flat, m))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@_kernel_settings
+@given(data=st.data())
+def test_products_match_the_oracle(n, data):
+    a = _square(data.draw(_entries(n * n)), n)
+    b = _square(data.draw(_entries(n * n)), n)
+    v = data.draw(_entries(n))
+    assert zmatmul(_z(a), _z(b)) == _z(zi_oracle.matmul(a, b))
+    assert zmatvec(_z(a), _flat(v)) == _flat(zi_oracle.matvec(a, v))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@_kernel_settings
+@given(data=st.data())
+def test_conj_scale_and_columns_match_the_oracle(n, data):
+    m = _square(data.draw(_entries(n * n)), n)
+    v = data.draw(_entries(n))
+    c = data.draw(_gaussians)
+    assert zconj(_flat(v)) == _flat(zi_oracle.conj((v,))[0])
+    assert zconj(_z(m)) == _z(zi_oracle.conj(m))
+    assert zscale(c, _flat(v)) == _flat([zi_oracle.mul(c, x) for x in v])
+    assert zscale(c, _z(m)) == _z([[zi_oracle.mul(c, x) for x in row] for row in m])
+    # the columns of zcolumns(m) are the rows of m
+    assert zcolumns(_z(m)) == _z(tuple(zip(*m)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@_kernel_settings
+@given(data=st.data())
+def test_determinants_and_adjugates_match_the_oracle(n, data):
+    m = _square(data.draw(_entries(n * n)), n)
+    if n == 3:
+        assert zdet3(*_z(m)) == zi_oracle.det3(*m)
+        assert zadjugate3(_z(m)) == _z(zi_oracle.adjugate(m))
+    else:
+        (a, b), (c, d) = m
+        assert zdet2(*_z(m)) == zi_oracle.det2(*m)
+        assert zadjugate2(_z(m)) == _z(((d, zi_oracle.neg(b)), (zi_oracle.neg(c), a)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@_kernel_settings
+@given(data=st.data())
+def test_normal_forms_match_the_oracle(n, data):
+    v = data.draw(_nonzero_entries(n))
+    m = _square(data.draw(_nonzero_entries(n * n)), n)
+    assert znormal(_flat(v)) == _flat(zi_oracle.normal(v))
+    assert znormal_matrix(_z(m)) == _z(zi_oracle.normal_matrix(m))
