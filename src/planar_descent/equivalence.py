@@ -45,8 +45,11 @@ N / D = u_0 s_1[t] / (u_1 s_0[t]), which does not change when a row is
 negated.  So the filter reads one residue row per unordered
 (d - 1)-subset of points, up to sign, built from each point's images in
 F_P under a + bi -> a + bI and a + bi -> a - bI (the conjugate points'
-table swaps the two), with the row's inverses found by one modular
-inverse.
+table swaps the two), with the inverses of a batch of rows found by one
+modular inverse (the simultaneous inversion of Montgomery, 1987).  The
+target frames are walked as nested index loops over the rows, a < b < c
+and then the last point in the plane, a < b and then the last point on
+the line, in combinations order.
 
 The source's ratios are kept per ordering sigma of the anchor: the mask
 of a residue ratio has the bit of sigma when it is the ratio of some
@@ -79,13 +82,19 @@ u_1 = 0 mod p makes every D 0, so the quad keeps every ordering.  u_2
 has no residue row and is tested exactly on the quads that pass.  Each
 quad dropped is no frame, so, as above, no map and no order changes.
 
-Exact brackets are computed only where they are read: the rows of a
-target frame that passes, those of a keyed ordering of the anchor, a
-source bracket whose residue is 0 mod p, to tell D_s = 0 from the gap,
-and the target brackets that decide whether a quad is a frame.  Each
-determinant of sorted points is computed at most once per table and
-kept there; the conjugate points' table reads them conjugated, and
-tests its quads with its parent's determinants.
+Residue rows are built in batches, one modular inverse for each, and
+kept on their table: the target's rows before its frames are walked,
+one batch per first point of a pair in the plane (so no batch holds more
+than n rows of n residues) and one for all rows on the line, and the
+source's rows of the anchor in one batch; a second enumeration against
+the same table builds none again.  Exact brackets stay lazy, computed
+only where they are read: the rows of a target frame that passes, those
+of a keyed ordering of the anchor, a source bracket whose residue is 0
+mod p, to tell D_s = 0 from the gap, and the target brackets that decide
+whether a quad is a frame.  Each determinant of sorted points is
+computed at most once per table and kept there; the conjugate points'
+table reads them conjugated, and tests its quads with its parent's
+determinants.
 
 A configuration's symmetries are found once (`Symmetries`): the coset
 conj(S) -> S by one enumeration, and Aut(S), when that coset is not
@@ -187,46 +196,62 @@ I = _sqrt_minus_one(P)
 class _Brackets:
     """The brackets of n points of dimension d: row f holds [t, *f] for every point t.
 
-    f is a (d - 1)-tuple of points, and each row is built when it is
-    first read and kept on the table.  `residue_row` holds the images of
-    a row in F_P under a + bi -> a + bI, read from the points' own
-    images, and `exact_row` its Gaussian integers, each determinant of
-    the table computed once; `vanishes` tests one determinant against 0
-    from the same store.  `conj()` is the table of the conjugate points:
-    it swaps each point's two images in F_P and reads its exact rows, and
-    its zero tests, from this table.
+    f is a (d - 1)-tuple of points.  `residues` holds the images of the
+    rows in F_P under a + bi -> a + bI, read from the points' own images,
+    each as (residues, inverses) once `build_residues` has built it: in
+    the plane residues[x][y] is the row of the pair {x, y}, one row for
+    both orders, and on the line residues[y] the row of the point y.  The
+    rows are built in batches, one modular inverse for each, and kept.
+    `exact_row` gives a row's Gaussian integers, built when it is first
+    read and kept, each determinant of the table computed once;
+    `vanishes` tests one determinant against 0 from the same store.
+    `conj()` is the table of the conjugate points: it swaps each point's
+    two images in F_P and reads its exact rows, and its zero tests, from
+    this table.
     """
 
-    __slots__ = ("vectors", "_images", "_conjugate_of", "_residues", "_exact", "_dets")
+    __slots__ = ("vectors", "residues", "_images", "_conjugate_of", "_exact", "_dets")
 
     def __init__(self, vectors, images, conjugate_of=None):
         self.vectors = vectors
         self._images = images
         self._conjugate_of = conjugate_of
-        self._residues, self._exact, self._dets = {}, {}, {}
+        n = len(vectors)
+        self.residues = [[None] * n for _ in range(n)] if len(vectors[0]) == 6 else [None] * n
+        self._exact, self._dets = {}, {}
 
     def conj(self) -> "_Brackets":
         """The conjugate points' table, in the same index order; it copies no row."""
         return _Brackets(tuple([zconj(v) for v in self.vectors]), self._images[::-1], self)
 
-    def residue_row(self, f):
-        """(residues, inverses): [t, *f] mod p up to sign, and their inverses (0 for 0).
+    def build_residues(self, keys):
+        """Build the residue rows of keys that are not built yet, with one modular inverse.
 
-        Both orderings of f share one row: the residue filter reads ratios
-        in which a row's sign cancels.
+        keys are pairs of points in the plane and points on the line.  A
+        row holds [t, *key] mod p up to sign for every t, and the inverses
+        of its entries (0 for 0).  Both orders of a pair share one row:
+        the residue filter reads ratios in which a row's sign cancels.
         """
-        row = self._residues.get(f)
-        if row is None:
-            images, p = self._images[0], P
-            if len(f) == 2:
-                (a, b, c), (x, y, z) = images[f[0]], images[f[1]]
-                u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
-                residues = [(u * r + v * s + w * t) % p for r, s, t in images]
-            else:
-                x, y = images[f[0]]
-                residues = [(r * y - s * x) % p for r, s in images]
-            row = self._residues[f] = self._residues[f[::-1]] = residues, _inverses(residues)
-        return row
+        residues, images, p = self.residues, self._images[0], P
+        if len(images[0]) == 3:
+            keys = [(x, y) for x, y in keys if residues[x][y] is None]
+            batch = []
+            for x, y in keys:
+                (a, b, c), (e, f, g) = images[x], images[y]
+                u, v, w = b * g - c * f, c * e - a * g, a * f - b * e
+                batch.append([(u * r + v * s + w * t) % p for r, s, t in images])
+            if batch:
+                for (x, y), row in zip(keys, _with_inverses(batch)):
+                    residues[x][y] = residues[y][x] = row
+        else:
+            keys = [y for y in keys if residues[y] is None]
+            batch = []
+            for y in keys:
+                e, f = images[y]
+                batch.append([(r * f - s * e) % p for r, s in images])
+            if batch:
+                for y, row in zip(keys, _with_inverses(batch)):
+                    residues[y] = row
 
     def exact_row(self, f):
         """[t, *f] in Z[i] for every t, for any ordering f of d - 1 points."""
@@ -272,20 +297,31 @@ class _Brackets:
         return row
 
 
-def _inverses(values):
-    """The inverse mod P of each value (0 for 0), with one modular inverse for all."""
+def _with_inverses(rows):
+    """(row, inverses) for each row of residues mod P, with one modular inverse for all.
+
+    inverses holds the inverse of each entry of the row (0 for 0), by
+    Montgomery's simultaneous inversion (1987) over the rows' entries.
+    """
     p, prefixes, product = P, [], 1
-    for x in values:
-        prefixes.append(product)
-        if x:
-            product = product * x % p
+    for row in rows:
+        for x in row:
+            prefixes.append(product)
+            if x:
+                product = product * x % p
     inverse = pow(product, -1, p)
-    inverses = [0] * len(values)
-    for t in range(len(values) - 1, -1, -1):
-        if values[t]:
-            inverses[t] = prefixes[t] * inverse % p
-            inverse = inverse * values[t] % p
-    return inverses
+    k = len(prefixes)
+    built = []
+    for row in reversed(rows):
+        inverses = [0] * len(row)
+        for t in range(len(row) - 1, -1, -1):
+            k -= 1
+            if row[t]:
+                inverses[t] = prefixes[k] * inverse % p
+                inverse = inverse * row[t] % p
+        built.append((row, inverses))
+    built.reverse()
+    return built
 
 
 def _brackets(points) -> _Brackets:
@@ -327,11 +363,6 @@ def _frame_matrix(vectors, frame, u):
     return zcolumns([zscale(x, vectors[f]) for x, f in zip(u, frame)])
 
 
-def _residue_rows(table, base):
-    """The residue rows of slot_0 and slot_1 (`_frame_coordinates`) of a frame on base."""
-    return table.residue_row(base[1:]), table.residue_row(base[2:] + base[:1])
-
-
 def _source_masks(source, orderings, others):
     """{residue ratio N / D (module docstring): bitmask of the orderings giving it}.
 
@@ -339,9 +370,15 @@ def _source_masks(source, orderings, others):
     of the other source points.  Points with D = 0 exactly are left out;
     None (no filter) if some D is nonzero exactly but zero mod p.
     """
+    anchor = orderings[0]
+    source.build_residues(anchor if len(anchor) == 3 else itertools.combinations(anchor, 2))
+    rows = source.residues
     masks = {}
     for bit, frame in enumerate(orderings):
-        (s0, inverses0), (s1, inverses1) = _residue_rows(source, frame[:-1])
+        if len(frame) == 4:  # the rows of (f_2, f_3) and (f_3, f_1)
+            (s0, inverses0), (s1, inverses1) = rows[frame[1]][frame[2]], rows[frame[2]][frame[0]]
+        else:  # those of f_2 and f_1
+            (s0, inverses0), (s1, inverses1) = rows[frame[1]], rows[frame[0]]
         last = frame[-1]
         if not inverses1[last]:
             return None  # u_1 is nonzero exactly, since the anchor is a frame
@@ -364,36 +401,72 @@ def _filtered_frames(target, d, masks, every):
     the filter on, a quad with a bracket 0 exactly is no frame and is
     dropped too, so every quad yielded is a frame.  With no masks
     (filter off) every quad leaves every ordering.
+
+    A frame (a, b, c, last) of the plane reads the residue rows of
+    slot_0 and slot_1 (`_frame_coordinates`), those of (b, c) and (c, a),
+    and a frame (a, b, last) of the line those of b and a.  No row read
+    holds the last point, n - 1; the rest are built first, in the plane
+    in one batch per first point.
     """
     n = len(target.vectors)
     if masks is None:
         for frame in itertools.combinations(range(n), d + 1):
             yield frame, every
         return
-    p, ratio_mask, vanishes = P, masks.get, target.vanishes
-    for base in itertools.combinations(range(n - 1), d):
-        first = base[0]
-        (s0, inverses0), (s1, inverses1) = _residue_rows(target, base)
-        if not inverses0[first] and vanishes(base):
-            continue  # [a b c] = 0: no quad on this base is a frame
-        rest, around = base[1:], base[:1] + base[2:]
-        for last in range(base[-1] + 1, n):
-            if not s0[last] and vanishes(rest + (last,)):
-                continue  # u_0 = 0
-            mask = every
-            if not inverses1[last]:  # u_1 = 0 mod p, so every D is
-                if vanishes(around + (last,)):
+    p, ratio_mask, vanishes, rows = P, masks.get, target.vanishes, target.residues
+    if d == 3:
+        for x in range(n - 2):
+            target.build_residues([(x, y) for y in range(x + 1, n - 1)])
+        for a in range(n - 3):
+            rows_a = rows[a]
+            for b in range(a + 1, n - 2):
+                rows_b = rows[b]
+                for c in range(b + 1, n - 1):
+                    s0, inverses0 = rows_b[c]
+                    if not inverses0[a] and vanishes((a, b, c)):
+                        continue  # no quad on this base is a frame
+                    s1, inverses1 = rows_a[c]
+                    for last in range(c + 1, n):
+                        if not s0[last] and vanishes((b, c, last)):
+                            continue  # u_0 = 0
+                        mask = every
+                        if not inverses1[last]:  # u_1 = 0 mod p, so every D is
+                            if vanishes((a, c, last)):
+                                continue
+                        else:
+                            u = s0[last] * inverses1[last] % p  # u_0 / u_1
+                            for t, inverse in enumerate(inverses0):
+                                if inverse and t != a and t != last:
+                                    mask &= ratio_mask(u * s1[t] * inverse % p, 0)
+                                    if not mask:
+                                        break
+                        # u_2 = [l a b] is tested exactly once the quad has passed
+                        if mask and not vanishes((a, b, last)):
+                            yield (a, b, c, last), mask
+        return
+    target.build_residues(range(n - 1))
+    for a in range(n - 2):
+        s1, inverses1 = rows[a]
+        for b in range(a + 1, n - 1):
+            s0, inverses0 = rows[b]
+            if not inverses0[a] and vanishes((a, b)):
+                continue
+            for last in range(b + 1, n):
+                if not s0[last] and vanishes((b, last)):
                     continue
-            else:
-                c = s0[last] * inverses1[last] % p
-                for t, inverse in enumerate(inverses0):
-                    if inverse and t != first and t != last:
-                        mask &= ratio_mask(c * s1[t] * inverse % p, 0)
-                        if not mask:
-                            break
-            # in the plane, u_2 = [l a b] is tested exactly once the quad has passed
-            if mask and (d == 2 or not vanishes(base[:2] + (last,))):
-                yield base + (last,), mask
+                mask = every
+                if not inverses1[last]:
+                    if vanishes((a, last)):
+                        continue
+                else:
+                    u = s0[last] * inverses1[last] % p
+                    for t, inverse in enumerate(inverses0):
+                        if inverse and t != a and t != last:
+                            mask &= ratio_mask(u * s1[t] * inverse % p, 0)
+                            if not mask:
+                                break
+                if mask:
+                    yield (a, b, last), mask
 
 
 def _source_keys(source, ordering, others):

@@ -835,3 +835,42 @@ def test_decision_outputs_are_pinned():
         records.append(record)
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTPUTS_SHA256
+
+
+def _generic_pinned_inputs():
+    """Twisted general-position sets past the sizes above: six stable and six random
+    of 11 points, and one of each of 20 points, the CLI's default guard."""
+    from test_equivalence import _random_config
+
+    rng = random.Random("pinned:generic")
+    inputs = []
+    for size, count in ((11, 6), (20, 1)):
+        stable = []
+        while len(stable) < count:
+            config = random_real_stable_config(rng, size)
+            if classify(config).tag.value == "HasFrame":
+                stable.append(_random_twist(rng).apply(config))
+        inputs += stable
+        inputs += [_random_twist(rng).apply(_random_config(rng, size)) for _ in range(count)]
+    return inputs
+
+
+# sha256 of the sorted-keys JSON dump of every record below, computed before
+# the residue rows were built in batches; a change that alters it on purpose
+# must say so and why
+GENERIC_OUTPUTS_SHA256 = "9b1ec7c7c74f99f7ed6ecf3808cdb71867ec3eeef67fdf03b711b77ddb99b555"
+
+
+def test_generic_outputs_are_pinned():
+    from planar_descent.cli import map_to_json
+
+    records = []
+    for config in _generic_pinned_inputs():
+        assert classify(config).tag.value == "HasFrame"
+        _, witness = fom_real(config)
+        records.append({
+            "certificate": certificate_to_json(descends_real(config)),
+            "fom_witness": map_to_json(witness) if witness else None,
+        })
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERIC_OUTPUTS_SHA256

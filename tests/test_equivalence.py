@@ -705,6 +705,9 @@ def _filter_cases():
 
     generic = _random_config(random.Random(5), 11)
     both_ways("generic", generic.points, pair("generic", generic, random.Random(6)))
+    # the sizes at which the filter's index loops have their shortest ranges
+    for n in (5, 6, 7):
+        pair(f"generic n={n}", _random_config(random.Random(n), n), random.Random(10 + n))
     for m in (1, 2, 3):
         for variant in ("S", "Sprime"):
             config = family(FamilyParams(m, DEFAULT_POOL[:m], variant))
@@ -720,7 +723,9 @@ def _filter_cases():
         both_ways(name, config.points, (0, 1, 2, 3))
     collinear_set = PointConfig([pt(k, 1, 2 * k) for k in range(6)])
     line_plus_point = PointConfig([pt(k, k * k + 1, 0) for k in range(5)] + [pt(0, 0, 1)])
-    for name, config in (("collinear", collinear_set), ("line plus point", line_plus_point)):
+    four_collinear = PointConfig([pt("1+1i", 1, 0), pt("1-1i", 1, 0), pt(2, 1, 0), pt(0, 1, 0)])
+    for name, config in (("collinear", collinear_set), ("line plus point", line_plus_point),
+                         ("four collinear", four_collinear)):
         both_ways(name, reduce_to_line(config).config.points, (0, 1, 2))
     # (P, I) = (13, 5) maps 3 + 2i to 0, so every residue of the scaled
     # table vanishes: the filter is off when it is the source, and skips
@@ -746,34 +751,65 @@ def _filtered_enumerations(monkeypatch, p, i):
             for name, source, anchor, target in _filter_cases()}
 
 
+def _residue_rows(table, keys):
+    """{f: residue row of f} for both orders of each key, a pair of points in
+    the plane, and for f = (key,) for each key, a point, on the line."""
+    rows = {}
+    for key in keys:
+        if isinstance(key, tuple):
+            for f in itertools.permutations(key):
+                rows[f] = table.residues[f[0]][f[1]]
+        else:
+            rows[(key,)] = table.residues[key]
+    return rows
+
+
+def _assert_residue_rows(table, keys, p, i):
+    """Each residue row is the image of the exact row, or of its negative, under
+    a + bi -> a + bI mod p; a residue vanishes only with its bracket; and the
+    inverses are right."""
+    for f, (residues, inverses) in _residue_rows(table, keys).items():
+        exact = table.exact_row(f)
+        images = [(x + y * i) % p for x, y in exact]
+        assert residues in (images, [-r % p for r in images]), f
+        assert all((x == (0, 0)) == (r == 0) for x, r in zip(exact, residues)), f
+        assert [r * v % p for r, v in zip(residues, inverses)] == [int(r != 0) for r in residues]
+
+
 def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     default = (equivalence_module.P, equivalence_module.I)
+    # with the filter off, every quad is keyed against every ordering
+    with monkeypatch.context() as patched:
+        patched.setattr(equivalence_module, "_source_masks", lambda *args: None)
+        unfiltered = _filtered_enumerations(patched, *default)
     expected = _filtered_enumerations(monkeypatch, *default)
+    assert expected == unfiltered
     assert expected["generic pair"] and expected["S m=3 conj"]
     assert expected["frame48 self"] and expected["collinear conj"]
     assert len(expected["S m=2 pair"]) == 2 and len(expected["square16 conj"]) == 8
+    assert all(len(expected[f"generic n={n} pair"]) == 1 for n in (5, 6, 7))
+    assert len(expected["four collinear self"]) == 8 and expected["four collinear conj"]  # harmonic
     for p, i in ((5, 2), (13, 5), default):
         assert _filtered_enumerations(monkeypatch, p, i) == expected, (p, i)
     small = _random_config(random.Random(4), 5)
     assert expected["scaled source"] == expected["scaled target"] == tuple(aut_group(small))
     assert expected["one scaled point"] == expected["S m=1 self"]
-    # under (13, 5), in small's table and its conjugate, each row of
-    # residues is the image of the exact row or of its negative, a residue
-    # vanishes only with its bracket, and the inverses are right; every
-    # residue of the scaled table vanishes
+    # under (13, 5), the rows of small's table and its conjugate, and of a
+    # set of the line and its conjugate, pass `_assert_residue_rows`; every
+    # residue of a scaled table vanishes
     monkeypatch.setattr(equivalence_module, "P", 13)
     monkeypatch.setattr(equivalence_module, "I", 5)
-    table = equivalence_module._brackets(small.points)
-    rests = list(itertools.permutations(range(5), 2))
-    for tab in (table, table.conj()):
-        for f in rests:
-            residues, inverses = tab.residue_row(f)
-            images = [(x + y * 5) % 13 for x, y in tab.exact_row(f)]
-            assert residues in (images, [-r % 13 for r in images]), f
-            assert all((x == (0, 0)) == (r == 0) for x, r in zip(tab.exact_row(f), residues))
-            assert [r * v % 13 for r, v in zip(residues, inverses)] == [int(r != 0) for r in residues]
-    table = equivalence_module._brackets([_Scaled(p, (3, 2)) for p in small.points])
-    assert not any(any(table.residue_row(f)[0]) for f in rests)
+    brackets = equivalence_module._brackets
+    line = reduce_to_line(PointConfig([pt(k, 1, 2 * k) for k in range(6)])).config
+    for points, keys in ((small.points, list(itertools.combinations(range(5), 2))),
+                         (line.points, list(range(6)))):
+        table = brackets(points)
+        for tab in (table, table.conj()):
+            tab.build_residues(keys)
+            _assert_residue_rows(tab, keys, 13, 5)
+        scaled = brackets([_Scaled(p, (3, 2)) for p in points])
+        scaled.build_residues(keys)
+        assert not any(any(residues) for residues, _ in _residue_rows(scaled, keys).values())
 
 
 def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
@@ -789,6 +825,29 @@ def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
     config = _random_config(random.Random(11), 11)
     assert not descends_real(config).descends
     assert len(calls) <= 25
+
+
+def test_residue_rows_take_one_inverse_per_batch(monkeypatch):
+    # conj(S) -> S builds the anchor's rows of the conjugate table in one
+    # batch and the target's in one batch per first point, n - 2 of them;
+    # rows built one at a time took 50 modular inverses on this input.
+    # S -> S then reads the same table and builds no row again.
+    with_inverses = equivalence_module._with_inverses
+    batches = []
+
+    def counted(rows):
+        batches.append(len(rows))
+        return with_inverses(rows)
+
+    monkeypatch.setattr(equivalence_module, "_with_inverses", counted)
+    config = _random_config(random.Random(11), 11)
+    sym = equivalence_module.Symmetries(config)
+    assert sym.conjugate == ()
+    n = len(config)
+    assert len(batches) <= (n - 1) + 1
+    assert max(batches) < n
+    batches.clear()
+    assert len(sym.holomorphic) == 1 and batches == []
 
 
 def test_source_keying_is_pruned_to_the_matching_ordering(monkeypatch):
