@@ -5,11 +5,10 @@ configuration onto another.  A map is pinned down by where it sends a
 projective frame (d + 1 points in general position in dimension d: four
 in the plane, three distinct points on the line), so with one frame of
 the source fixed, every ordered frame of the target is a candidate.
-Candidates are matched by frame coordinates (geometric hashing with exact
-keys): each ordering of the fixed source frame gives the key set of the
-source points written in it, each unordered target frame Q the key set
-of the target points written in Q, and each ordering whose key set is
-Q's gives a map.  The search is exact and complete, and one keyed
+An unordered target frame and an ordering of the source frame define
+the one map g = M_frame adj(M_ordering) that sends the ordering onto
+the frame, and g is kept when it sends every other source point to a
+point of the target.  The search is exact and complete, and one
 enumeration serves both dimensions.
 
 Frame coordinates come from brackets, the d x d determinants [i j k]
@@ -19,23 +18,23 @@ f_{d+1}.  Coordinate k of a point t is
 (prod over j != k of w_j) * [f_1..f_d with f_k replaced by t]: this is
 adj(M) . t for the frame matrix M with columns w_k f_k, since by Cramer's
 rule entry k of M^-1 . t is [.. t at k ..] / (w_k [f_1..f_d]) and
-det M = [f_1..f_d] * prod w_j.  A key is the normal form of that vector.
-Brackets are read with t first, [t, f_{k+1}, .., f_{k+d-1}] (indices
-mod d).  In the plane that is a cyclic shift; on the line it negates
-every coordinate and column 2 of both frame matrices alike, which
-changes no key and no map.
+det M = [f_1..f_d] * prod w_j.  So M takes the d + 1 brackets w_k and
+[f_1..f_d], and the quad is a frame when they are nonzero.  Brackets are
+read with t first, [t, f_{k+1}, .., f_{k+d-1}] (indices mod d).  In the
+plane that is a cyclic shift; on the line it negates column 2 of both
+frame matrices alike, which changes no map.
 
 Degenerate configurations (all points on a line, or all but one) have
 infinite planar automorphism groups; they are reduced to the projective
 line, as configurations of two-coordinate points acted on by 2x2 maps.
 
 The enumeration runs on the normalized Gaussian-integer tuples that
-points and maps store (see `plane`): frames are tested and keyed, and
-accepted maps are built, with the integer kernels of `plane` alone.
+points and maps store (see `plane`): frames are tested, candidate maps
+checked and accepted maps built with the integer kernels of `plane` alone.
 
-Before a target frame is keyed exactly it must pass a residue filter, a
+Before a candidate map is built it must pass a residue filter, a
 fingerprint in the manner of Karp and Rabin (1987) in front of the exact
-hashing.  P is a prime = 1 mod 4 and I a square root of -1 mod P, so
+check.  P is a prime = 1 mod 4 and I a square root of -1 mod P, so
 a + bi -> a + bI is a ring map Z[i] -> F_P; its kernel is the prime
 p = (P, i - I).  The ratio x_2 / x_1 of a point t's frame coordinates
 is N / D with N = w_1 [.. t at 2 ..] and D = w_2 [.. t at 1 ..] (the
@@ -57,23 +56,24 @@ other source point in sigma; points with D = 0 exactly are left out.
 A target frame starts with every bit and, at each point t outside it
 with D_t != 0 mod p, keeps those of the mask of t's ratio; it is
 rejected once no bit is left.  The filter never drops an ordering sigma
-that matches the frame exactly.  There, every such t has the key of a
-source point s in sigma, so their coordinates are proportional:
-N_t D_s = N_s D_t in Z[i], hence mod p.  D_s != 0 exactly (D_s = 0
-would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is nonzero
-mod p as well, the two residue ratios agree, so sigma's bit survives t.
-The one gap, a source D_s (or u_1) that is nonzero exactly but zero mod
-p, turns the filter off for the whole enumeration.  Rejecting a quad
-that is no frame changes nothing, since the exact check skips it.  So
-the filter changes no map and no order.  A frame that passes is keyed
-exactly and matched only against the orderings left in its mask, each
-keyed at most once per enumeration.
+where the map of that ordering and that frame carries S onto T.  There,
+every such t is the image of a source point s, and the map sends the
+coordinates of s in sigma to those of t in the frame, so they are
+proportional: N_t D_s = N_s D_t in Z[i], hence mod p.  D_s != 0 exactly
+(D_s = 0 would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is
+nonzero mod p as well, the two residue ratios agree, so sigma's bit
+survives t.  The one gap, a source D_s (or u_1) that is nonzero exactly
+but zero mod p, turns the filter off for the whole enumeration.
+Rejecting a quad that is no frame changes nothing, since no map is
+built on it.  So the filter changes no map and no order.  A frame that
+passes is tried only with the orderings left in its mask.
 
 The filter also drops the target quads that are no frame, so none is
-built exactly only to be refused.  A quad on the base (f_1, .., f_d)
-with last point l is a frame exactly when its d + 1 brackets are
-nonzero: [f_1 .. f_d] = s_0[f_1], u_0 = s_0[l], u_1 = s_1[l] and, in the
-plane, u_2 = [l f_1 f_2].  The filter reads the first three mod p on the
+built exactly only to be refused.  On the line every triple of distinct
+points is a frame.  In the plane a quad on the base (f_1, f_2, f_3)
+with last point l is a frame exactly when its four brackets are
+nonzero: [f_1 f_2 f_3] = s_0[f_1], u_0 = s_0[l], u_1 = s_1[l] and
+u_2 = [l f_1 f_2].  The filter reads the first three mod p on the
 rows it builds anyway.  Where one is 0 mod p, that one determinant is
 tested exactly, and the base (all its quads) or the quad is dropped only
 if it is 0 exactly.  A quad whose bracket is 0 mod p but not exactly
@@ -88,13 +88,13 @@ one batch per first point of a pair in the plane (so no batch holds more
 than n rows of n residues) and one for all rows on the line, and the
 source's rows of the anchor in one batch; a second enumeration against
 the same table builds none again.  Exact brackets stay lazy, computed
-only where they are read: the rows of a target frame that passes, those
-of a keyed ordering of the anchor, a source bracket whose residue is 0
-mod p, to tell D_s = 0 from the gap, and the target brackets that decide
-whether a quad is a frame.  Each determinant of sorted points is
-computed at most once per table and kept there; the conjugate points'
-table reads them conjugated, and tests its quads with its parent's
-determinants.
+only where they are read: the d + 1 of a target frame that passes and
+of each ordering of the anchor it is tried with, a source bracket whose
+residue is 0 mod p, to tell D_s = 0 from the gap, and the target
+brackets that decide whether a quad is a frame.  Each determinant is
+computed at most once per set of points and kept on the table, and
+read with the sign of the order asked for; the conjugate points' table
+reads them conjugated from its parent.
 
 A configuration's symmetries are found once (`Symmetries`): the coset
 conj(S) -> S by one enumeration, and Aut(S), when that coset is not
@@ -106,11 +106,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional
 
 from .errors import InternalError, InvalidInputError
-from .gaussian import _sqrt_minus_one, zmul
+from .gaussian import _sqrt_minus_one
 from .plane import (
     ZIDENTITY,
     Line,
@@ -194,23 +194,22 @@ I = _sqrt_minus_one(P)
 
 
 class _Brackets:
-    """The brackets of n points of dimension d: row f holds [t, *f] for every point t.
+    """The brackets of n points of dimension d, their d x d determinants.
 
-    f is a (d - 1)-tuple of points.  `residues` holds the images of the
-    rows in F_P under a + bi -> a + bI, read from the points' own images,
-    each as (residues, inverses) once `build_residues` has built it: in
-    the plane residues[x][y] is the row of the pair {x, y}, one row for
-    both orders, and on the line residues[y] the row of the point y.  The
-    rows are built in batches, one modular inverse for each, and kept.
-    `exact_row` gives a row's Gaussian integers, built when it is first
-    read and kept, each determinant of the table computed once;
-    `vanishes` tests one determinant against 0 from the same store.
-    `conj()` is the table of the conjugate points: it swaps each point's
-    two images in F_P and reads its exact rows, and its zero tests, from
-    this table.
+    `bracket` gives the determinant of d points in the order given, each
+    set of points computed once, when it is first read, and kept;
+    `vanishes` tests one against 0.  Row f, for d - 1 points f, holds
+    [t, *f] for every point t, and `residues` its image in F_P under
+    a + bi -> a + bI, read from the points' own images, as (residues,
+    inverses) once `build_residues` has built it: in the plane
+    residues[x][y] is the row of the pair {x, y}, one row for both orders,
+    and on the line residues[y] the row of the point y.  The rows are
+    built in batches, one modular inverse for each, and kept.  `conj()` is
+    the table of the conjugate points: it swaps each point's two images in
+    F_P and reads its brackets conjugated from this table.
     """
 
-    __slots__ = ("vectors", "residues", "_images", "_conjugate_of", "_exact", "_dets")
+    __slots__ = ("vectors", "residues", "_images", "_conjugate_of", "_dets")
 
     def __init__(self, vectors, images, conjugate_of=None):
         self.vectors = vectors
@@ -218,7 +217,7 @@ class _Brackets:
         self._conjugate_of = conjugate_of
         n = len(vectors)
         self.residues = [[None] * n for _ in range(n)] if len(vectors[0]) == 6 else [None] * n
-        self._exact, self._dets = {}, {}
+        self._dets = {}
 
     def conj(self) -> "_Brackets":
         """The conjugate points' table, in the same index order; it copies no row."""
@@ -253,48 +252,25 @@ class _Brackets:
                 for y, row in zip(keys, _with_inverses(batch)):
                     residues[y] = row
 
-    def exact_row(self, f):
-        """[t, *f] in Z[i] for every t, for any ordering f of d - 1 points."""
-        row = self._exact.get(f)
-        if row is None:
-            if self._conjugate_of is not None:
-                row = [(x, -y) for x, y in self._conjugate_of.exact_row(f)]
-            elif len(f) == 2 and f[0] > f[1]:
-                row = [(-x, -y) for x, y in self.exact_row(f[::-1])]
-            else:
-                row = self._bracket_row(f)
-            self._exact[f] = row
-        return row
-
-    def vanishes(self, points):
-        """Whether the points (d of them, increasing) have determinant 0, computed once."""
+    def bracket(self, points):
+        """The determinant of d distinct points in the order given, each set's computed once."""
         if self._conjugate_of is not None:
-            return self._conjugate_of.vanishes(points)
-        bits = sum(1 << k for k in points)  # dets is keyed by the bitmask of the points
+            x, y = self._conjugate_of.bracket(points)
+            return x, -y
+        a, b = points[0], points[1]  # dets is keyed by bitmask; odd: the parity of sorting
+        bits, odd = 1 << a | 1 << b, a > b
+        if len(points) == 3:
+            c = points[2]
+            bits, odd = bits | 1 << c, odd ^ (a > c) ^ (b > c)
         x = self._dets.get(bits)
         if x is None:
             det = zdet3 if len(points) == 3 else zdet2
-            x = self._dets[bits] = det(*map(self.vectors.__getitem__, points))
-        return x == (0, 0)
+            x = self._dets[bits] = det(*[self.vectors[k] for k in sorted(points)])
+        return (-x[0], -x[1]) if odd else x
 
-    def _bracket_row(self, rest):
-        """`exact_row` for sorted rest, from the determinants of sorted points."""
-        vectors, dets = self.vectors, self._dets
-        det = zdet3 if len(rest) == 2 else zdet2
-        bits = sum(1 << r for r in rest)
-        row = []
-        below = 0  # the points of rest below t: [t, *rest] = (-1)^below det(sorted)
-        for t in range(len(vectors)):
-            if below < len(rest) and rest[below] == t:
-                below += 1
-                row.append((0, 0))
-                continue
-            x = dets.get(bits | 1 << t)
-            if x is None:
-                subset = rest[:below] + (t,) + rest[below:]
-                x = dets[bits | 1 << t] = det(*map(vectors.__getitem__, subset))
-            row.append((-x[0], -x[1]) if below & 1 else x)
-        return row
+    def vanishes(self, points):
+        """Whether the points (d of them) have determinant 0, from `bracket`."""
+        return self.bracket(points) == (0, 0)
 
 
 def _with_inverses(rows):
@@ -332,35 +308,13 @@ def _brackets(points) -> _Brackets:
     return _Brackets(vectors, images)
 
 
-def _frame_coordinates(table, frame):
-    """(slots, u, scales) of an ordered frame (module docstring), or None if no frame.
-
-    slots[k] is the exact row of (f_{k+1}, ..., f_{k+d-1}), indices mod d,
-    and u[k] = slots[k][f_{d+1}]; coordinate k of t is scales[k] * slots[k][t].
-    """
+def _frame_matrix(table, frame):
+    """The matrix of an ordered frame, columns u_k f_k (module docstring); None if no frame."""
     base, last = frame[:-1], frame[-1]
-    d = len(base)
-    slots = [table.exact_row(base[k + 1:] + base[:k]) for k in range(d)]
-    u = [slot[last] for slot in slots]
-    if slots[0][base[0]] == (0, 0) or (0, 0) in u:
+    u = [table.bracket((last,) + base[k + 1:] + base[:k]) for k in range(len(base))]
+    if (0, 0) in u or table.vanishes(base):
         return None
-    return slots, u, [reduce(zmul, u[:k] + u[k + 1:]) for k in range(d)]
-
-
-def _key(slots, scales, t):
-    """The exact key of point t: the normal form of its frame coordinates."""
-    if len(slots) == 3:
-        (ar, ai), (br, bi), (cr, ci) = scales
-        (xr, xi), (yr, yi), (zr, zi) = slots[0][t], slots[1][t], slots[2][t]
-        return znormal((ar * xr - ai * xi, ar * xi + ai * xr, br * yr - bi * yi,
-                        br * yi + bi * yr, cr * zr - ci * zi, cr * zi + ci * zr))
-    (ar, ai), (br, bi) = scales
-    (xr, xi), (yr, yi) = slots[0][t], slots[1][t]
-    return znormal((ar * xr - ai * xi, ar * xi + ai * xr, br * yr - bi * yi, br * yi + bi * yr))
-
-
-def _frame_matrix(vectors, frame, u):
-    return zcolumns([zscale(x, vectors[f]) for x, f in zip(u, frame)])
+    return zcolumns([zscale(x, table.vectors[f]) for x, f in zip(u, base)])
 
 
 def _source_masks(source, orderings, others):
@@ -387,7 +341,7 @@ def _source_masks(source, orderings, others):
             if inverses0[t]:
                 ratio = c * s1[t] * inverses0[t] % P
                 masks[ratio] = masks.get(ratio, 0) | 1 << bit
-            elif source.exact_row(frame[1:-1])[t] != (0, 0):
+            elif source.bracket((t,) + frame[1:-1]) != (0, 0):
                 return None
     return masks
 
@@ -402,11 +356,10 @@ def _filtered_frames(target, d, masks, every):
     dropped too, so every quad yielded is a frame.  With no masks
     (filter off) every quad leaves every ordering.
 
-    A frame (a, b, c, last) of the plane reads the residue rows of
-    slot_0 and slot_1 (`_frame_coordinates`), those of (b, c) and (c, a),
-    and a frame (a, b, last) of the line those of b and a.  No row read
-    holds the last point, n - 1; the rest are built first, in the plane
-    in one batch per first point.
+    A frame (a, b, c, last) of the plane reads the residue rows s_0 and
+    s_1 (module docstring), those of (b, c) and (c, a), and a frame
+    (a, b, last) of the line those of b and a.  No row read holds the
+    last point, n - 1; the rest are built first, in the plane one batch per first point.
     """
     n = len(target.vectors)
     if masks is None:
@@ -449,16 +402,9 @@ def _filtered_frames(target, d, masks, every):
         s1, inverses1 = rows[a]
         for b in range(a + 1, n - 1):
             s0, inverses0 = rows[b]
-            if not inverses0[a] and vanishes((a, b)):
-                continue
-            for last in range(b + 1, n):
-                if not s0[last] and vanishes((b, last)):
-                    continue
+            for last in range(b + 1, n):  # distinct points of the line: every triple is a frame
                 mask = every
-                if not inverses1[last]:
-                    if vanishes((a, last)):
-                        continue
-                else:
+                if inverses1[last]:
                     u = s0[last] * inverses1[last] % p
                     for t, inverse in enumerate(inverses0):
                         if inverse and t != a and t != last:
@@ -469,48 +415,39 @@ def _filtered_frames(target, d, masks, every):
                     yield (a, b, last), mask
 
 
-def _source_keys(source, ordering, others):
-    """(key set of the other points, u) in one ordering of the anchor."""
-    slots, u, scales = _frame_coordinates(source, ordering)
-    return frozenset([_key(slots, scales, t) for t in others]), u
-
-
 def _keyed_equivalences(source, anchor, target, antiholo=False):
     """Every g with g(source) = target, as SemiProjMaps with flag antiholo sorted by key.
 
     source and target are bracket tables of equally many distinct points
     of one dimension d; anchor indexes d + 1 source points forming a frame.
-    Frame points have the standard keys in every frame, so only the other
-    points are keyed.  A target frame is keyed only if some ordering of
-    the anchor survives the residue filter (module docstring), and it is
-    matched only against the orderings that survive, each keyed once.
+    Each target frame the residue filter passes (module docstring) is
+    tried with each ordering of the anchor left in its mask: g = M_frame
+    adj(M_ordering) is kept when it sends every other source point to a
+    target point.  adj(M_ordering) and its products with the other source
+    points are kept per ordering, so a candidate costs one product per
+    point checked, and g is multiplied out only when it passes.
     """
     d = len(anchor) - 1
     adjugate = zadjugate2 if d == 2 else zadjugate3
-    n = len(target.vectors)
-    others = [t for t in range(n) if t not in anchor]
+    others = [t for t in range(len(target.vectors)) if t not in anchor]
     orderings = list(itertools.permutations(anchor))
     masks = _source_masks(source, orderings, others) if others else None
-    source_keys = {}  # bit -> `_source_keys` of orderings[bit]
+    points = {znormal(v) for v in target.vectors}
+    adjugates = {}  # bit -> (adj(M), [adj(M) s for the other source points s]) of orderings[bit]
     found = []
     for frame, mask in _filtered_frames(target, d, masks, (1 << len(orderings)) - 1):
-        coordinates = _frame_coordinates(target, frame)
-        if coordinates is None:
+        z_frame = _frame_matrix(target, frame)
+        if z_frame is None:
             continue
-        slots, u, scales = coordinates
-        keys = frozenset([_key(slots, scales, t) for t in range(n) if t not in frame])
-        z_frame = None
         for bit, ordering in enumerate(orderings):
             if not mask >> bit & 1:
                 continue
-            if bit not in source_keys:
-                source_keys[bit] = _source_keys(source, ordering, others)
-            ordering_keys, source_u = source_keys[bit]
-            if ordering_keys != keys:
-                continue
-            z_frame = z_frame or _frame_matrix(target.vectors, frame, u)
-            z_source = _frame_matrix(source.vectors, ordering, source_u)
-            found.append(zmatmul(z_frame, adjugate(z_source)))
+            if bit not in adjugates:
+                adj = adjugate(_frame_matrix(source, ordering))
+                adjugates[bit] = adj, [zmatvec(adj, source.vectors[s]) for s in others]
+            adj, images = adjugates[bit]
+            if all(znormal(zmatvec(z_frame, x)) in points for x in images):
+                found.append(zmatmul(z_frame, adj))
 
     maps = sorted((SemiProjMap.from_z(g, antiholo) for g in found), key=SemiProjMap.key)
     if len(set(maps)) != len(maps):
@@ -525,7 +462,7 @@ def equivalences(source: PointConfig, target: PointConfig):
     """Every g in PGL3 with g(source) = target, sorted by `SemiProjMap.key`.
 
     Requires a general-position 4-subset in the source (NeedsReductionError
-    otherwise); the least one from `classify` anchors the keyed
+    otherwise); the least one from `classify` anchors the
     enumeration.  Different sizes yield the empty list.
     """
     sym = Symmetries.of(source)
@@ -581,13 +518,13 @@ class Symmetries:
     collinear or a line plus a point, read on its line as `reduction`) or
     "tiny" (at most three points).  Off the tiny route one bracket table
     is built, of S or of `reduction.config`, and conj(S) -> S is read from
-    it and its conjugate, which takes its exact brackets from it, on both
-    routes.  The table keeps the rows it builds, so S -> S reuses them.
+    it and its conjugate, which reads its brackets conjugated from it, on
+    both routes.  The table keeps what it builds, so S -> S reuses it.
 
     Aut(S) takes no enumeration of its own when the coset conj(S) -> S is
     already known and not empty (`holomorphic`), so the decisions that read
     the coset first (`fom_real`, `descends_real`, `normalizer`) make one
-    keyed enumeration per configuration.  `group` checks Aut(S) and the
+    enumeration per configuration.  `group` checks Aut(S) and the
     coset together, once.  Reading only `conjugate` never enumerates
     S -> S, and reading only `holomorphic` never enumerates the coset.
 
@@ -626,7 +563,7 @@ class Symmetries:
     def conjugate(self):
         """The antiholomorphic symmetries x -> A conj(x), sorted by key; None if tiny.
 
-        Keyed on the conjugate of the bracket table, anchored on the
+        Enumerated on the conjugate of the bracket table, anchored on the
         conjugate of the witness frame (3x3 maps of S) or of points 0, 1, 2
         of reduction.config (2x2 maps of the line, symmetries of it).
         """
@@ -698,7 +635,7 @@ def pgl2_equivalences(source: PointConfig, target: PointConfig):
     """Every holomorphic map of the line with g(source) = target, sorted by key.
 
     Any three distinct points are a frame on the line, so the first three
-    source points anchor the same keyed enumeration as `equivalences`,
+    source points anchor the same enumeration as `equivalences`,
     over the target triples.  Fewer than three points leaves infinitely
     many maps (TooSmallError).  Different sizes yield the empty list.
     """

@@ -70,6 +70,11 @@ def test_classify_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["class"] == "Collinear"
     assert data["line"] == "[0:0:1]"
+    infile = write_config(tmp_path / "lpp.json",
+                          ["(0:1:0)", "(1:1:0)", "(2:1:0)", "(3:1:0)", "(0:0:1)"])
+    code, out, _ = run_cli(["classify", "--in", infile], capsys)
+    assert code == 0
+    assert json.loads(out) == {"class": "LinePlusPoint", "line": "[0:0:1]", "residue": "(0:0:1)"}
 
 
 def test_equiv_command(tmp_path, capsys):
@@ -147,6 +152,12 @@ def test_certificate_input_errors_are_typed():
         map_from_json({"antiholo": "false", "matrix": identity})
     with pytest.raises(InvalidInputError):
         map_from_json({"matrix": [1, 0, 0, 0, 1, 0, 0, 0, 1]})
+    with pytest.raises(InvalidInputError, match='needs a "matrix" array'):
+        map_from_json({"antiholo": True})
+    with pytest.raises(InvalidInputError, match="nine entries"):
+        map_from_json({"matrix": identity[:8]})
+    with pytest.raises(InvalidInputError, match='needs a "descends" field'):
+        certificate_from_json({"fom_real": True, "route": "frame"})
     element = {"antiholo": True, "matrix": identity}
     for refutation in (["x"], [{"element": element}], {"element": element}):
         with pytest.raises(InvalidInputError):
@@ -185,6 +196,19 @@ def _assert_one_error_line(code, out, err, text):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {text}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"points": ["1:0:0"]}', "point '1:0:0' must look like (x:y:z)"),
+    ('{"pts": ["(1:0:0)"]}', 'configuration JSON needs a "points" array'),
+    ('{"points": [[1, 0, 0]]}', '"points" must be an array of strings'),
+    ("points: (1:0:0)", "{path} is not valid JSON: "),
+], ids=["no parentheses", "no points", "not strings", "not JSON"])
+def test_malformed_input_file_exit_code(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["classify", "--in", str(bad)], capsys)
+    _assert_one_error_line(code, out, err, message.format(path=bad))
 
 
 def test_input_file_that_is_not_utf8_exit_code(tmp_path, capsys):
@@ -307,7 +331,7 @@ def test_verify_paper_refuses_an_empty_pool(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("max_n", ["-5", "0"])
+@pytest.mark.parametrize("max_n", ["-5", "0", "x"])
 def test_max_n_must_be_a_positive_integer(tmp_path, capsys, max_n):
     infile = write_config(tmp_path / "frame.json",
                           ["(1:0:0)", "(0:1:0)", "(0:0:1)", "(1:1:1)"])
@@ -317,6 +341,7 @@ def test_max_n_must_be_a_positive_integer(tmp_path, capsys, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-n" in captured.err and "enumeration guard" not in captured.err
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
 
 def test_verify_paper_accepts_zero_samples(capsys):

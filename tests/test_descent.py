@@ -729,15 +729,16 @@ def test_aut_read_off_the_coset_is_the_enumerated_group():
 
 def test_degenerate_quads_never_reach_the_exact_keys(monkeypatch):
     # a base or a quad whose bracket is 0 exactly is dropped in the
-    # residue filter, so every target quad that is keyed is a frame
-    frame_coordinates = equivalence_module._frame_coordinates
+    # residue filter, so every frame matrix built, of a target quad or an
+    # anchor ordering, is one of a frame
+    frame_matrix = equivalence_module._frame_matrix
     returned = []
 
     def recording(table, frame):
-        returned.append(frame_coordinates(table, frame))
+        returned.append(frame_matrix(table, frame))
         return returned[-1]
 
-    monkeypatch.setattr(equivalence_module, "_frame_coordinates", recording)
+    monkeypatch.setattr(equivalence_module, "_frame_matrix", recording)
     inputs = [_TWIST.apply(PointConfig(pin[0])) for pin in ROUTE_PINS["frame"].values()]
     for m in (2, 3):
         config = family(FamilyParams(m, DEFAULT_POOL[:m], "Sprime"))

@@ -510,6 +510,8 @@ def test_pgl2_too_small():
     line = PointConfig([_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(2, 1)])
     with pytest.raises(InvalidInputError):
         equivalences(STANDARD_FRAME, line)
+    # sets of unequal size have no map between them
+    assert pgl2_equivalences(line, PointConfig(line.points[:3])) == []
 
 
 def test_pgl2_four_points_match_brute_force():
@@ -769,7 +771,7 @@ def _assert_residue_rows(table, keys, p, i):
     a + bi -> a + bI mod p; a residue vanishes only with its bracket; and the
     inverses are right."""
     for f, (residues, inverses) in _residue_rows(table, keys).items():
-        exact = table.exact_row(f)
+        exact = [(0, 0) if t in f else table.bracket((t,) + f) for t in range(len(table.vectors))]
         images = [(x + y * i) % p for x, y in exact]
         assert residues in (images, [-r % p for r in images]), f
         assert all((x == (0, 0)) == (r == 0) for x, r in zip(exact, residues)), f
@@ -778,7 +780,7 @@ def _assert_residue_rows(table, keys, p, i):
 
 def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     default = (equivalence_module.P, equivalence_module.I)
-    # with the filter off, every quad is keyed against every ordering
+    # with the filter off, every quad is tried with every ordering
     with monkeypatch.context() as patched:
         patched.setattr(equivalence_module, "_source_masks", lambda *args: None)
         unfiltered = _filtered_enumerations(patched, *default)
@@ -789,7 +791,24 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     assert len(expected["S m=2 pair"]) == 2 and len(expected["square16 conj"]) == 8
     assert all(len(expected[f"generic n={n} pair"]) == 1 for n in (5, 6, 7))
     assert len(expected["four collinear self"]) == 8 and expected["four collinear conj"]  # harmonic
-    for p, i in ((5, 2), (13, 5), default):
+    # (P, I) = (5, 2) passes candidates, pairs of a frame and an ordering
+    # left in its mask, whose maps the exact check refuses
+    filtered_frames = equivalence_module._filtered_frames
+    frame_matrix = equivalence_module._frame_matrix
+    candidates = []
+
+    def counted(target, d, masks, every):
+        for frame, mask in filtered_frames(target, d, masks, every):
+            if frame_matrix(target, frame) is not None:
+                candidates.append(bin(mask).count("1"))
+            yield frame, mask
+
+    with monkeypatch.context() as patched:
+        patched.setattr(equivalence_module, "_filtered_frames", counted)
+        coarse = _filtered_enumerations(patched, 5, 2)
+    assert coarse == expected
+    assert sum(candidates) > sum(map(len, coarse.values()))
+    for p, i in ((13, 5), default):
         assert _filtered_enumerations(monkeypatch, p, i) == expected, (p, i)
     small = _random_config(random.Random(4), 5)
     assert expected["scaled source"] == expected["scaled target"] == tuple(aut_group(small))
@@ -813,15 +832,16 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
 
 
 def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
-    # 330 target quads and 24 source orderings are keyed without the filter
-    frame_coordinates = equivalence_module._frame_coordinates
+    # without the filter, the frame matrices of 330 target quads and 24
+    # source orderings are built
+    frame_matrix = equivalence_module._frame_matrix
     calls = []
 
     def counted(table, frame):
         calls.append(frame)
-        return frame_coordinates(table, frame)
+        return frame_matrix(table, frame)
 
-    monkeypatch.setattr(equivalence_module, "_frame_coordinates", counted)
+    monkeypatch.setattr(equivalence_module, "_frame_matrix", counted)
     config = _random_config(random.Random(11), 11)
     assert not descends_real(config).descends
     assert len(calls) <= 25
@@ -851,19 +871,19 @@ def test_residue_rows_take_one_inverse_per_batch(monkeypatch):
 
 
 def test_source_keying_is_pruned_to_the_matching_ordering(monkeypatch):
-    # a descending generic input keys its one matching target frame and
-    # the one anchor ordering that matches it, n - 4 points each; keying
-    # every ordering made n - 4 + 24 (n - 4) keys
-    key = equivalence_module._key
+    # a descending generic input builds two frame matrices: its one
+    # matching target frame's and the one anchor ordering's that matches
+    # it; trying every ordering would build 1 + 24
+    frame_matrix = equivalence_module._frame_matrix
     calls = []
 
-    def counted(slots, scales, t):
-        calls.append(t)
-        return key(slots, scales, t)
+    def counted(table, frame):
+        calls.append(table)
+        return frame_matrix(table, frame)
 
-    monkeypatch.setattr(equivalence_module, "_key", counted)
+    monkeypatch.setattr(equivalence_module, "_frame_matrix", counted)
     rng = random.Random(12)
     config = _random_twist(rng).apply(_random_config(rng, 11, real=True))
     assert descends_real(config).descends
-    assert 0 < len(calls) <= 2 * (len(config) - 4)
+    assert len(calls) == 2 and calls[0] is equivalence_module.Symmetries.of(config).brackets
     assert len(aut_group(config)) == 1

@@ -52,6 +52,11 @@ def test_family_rejects_unit_circle_parameter():
         FamilyParams(1, ["3/5+4/5i"])
 
 
+def test_family_rejects_an_unknown_variant():
+    with pytest.raises(InvalidParameterError, match="unknown variant 'T'"):
+        FamilyParams(1, ["2+1i"], "T")
+
+
 def test_family_rejects_zero_and_count_mismatch():
     with pytest.raises(InvalidParameterError):
         FamilyParams(1, ["0"])

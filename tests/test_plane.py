@@ -93,6 +93,23 @@ def test_points_lines_and_maps_have_one_representation(module):
         assert name not in names, (module, name)
 
 
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")
+                                          if path.stem != "__init__"))
+def test_every_imported_name_is_used(module):
+    # `__init__` imports only to re-export; anywhere else a name imported
+    # and never read is a leftover
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    assert imported <= read, (module, sorted(imported - read))
+
+
 # --- canonical forms ------------------------------------------------------------
 
 
@@ -312,6 +329,13 @@ def test_conj_config_examples():
 def test_config_rejects_duplicates():
     with pytest.raises(Exception):
         PointConfig([pt(1, 0, 0), pt(2, 0, 0)])
+
+
+def test_empty_config_and_singular_map_rejected():
+    with pytest.raises(InvalidInputError, match="at least one point"):
+        PointConfig([])
+    with pytest.raises(InvalidInputError, match="singular"):
+        SemiProjMap(((1, 2, 0), (2, 4, 0), (0, 0, 1)))
 
 
 # --- the fixed-shape kernels against the Z[i] oracle ----------------------------------
