@@ -50,23 +50,26 @@ target frames are walked as nested index loops over the rows, a < b < c
 and then the last point in the plane, a < b and then the last point on
 the line, in combinations order.
 
-The source's ratios are kept per ordering sigma of the anchor: the mask
-of a residue ratio has the bit of sigma when it is the ratio of some
-other source point in sigma; points with D = 0 exactly are left out.
-A target frame starts with every bit and, at each point t outside it
-with D_t != 0 mod p, keeps those of the mask of t's ratio; it is
-rejected once no bit is left.  The filter never drops an ordering sigma
-where the map of that ordering and that frame carries S onto T.  There,
-every such t is the image of a source point s, and the map sends the
-coordinates of s in sigma to those of t in the frame, so they are
-proportional: N_t D_s = N_s D_t in Z[i], hence mod p.  D_s != 0 exactly
-(D_s = 0 would give x_1 = 0 at s, so at t, and D_t = 0), and if D_s is
-nonzero mod p as well, the two residue ratios agree, so sigma's bit
-survives t.  The one gap, a source D_s (or u_1) that is nonzero exactly
-but zero mod p, turns the filter off for the whole enumeration.
-Rejecting a quad that is no frame changes nothing, since no map is
-built on it.  So the filter changes no map and no order.  A frame that
-passes is tried only with the orderings left in its mask.
+The source's ratios are kept per ordering sigma of the anchor, each
+other source point s read as the point (N_s : D_s) of P^1(F_p).  If
+D_s != 0 mod p, the mask of the residue ratio N_s / D_s has the bit of
+sigma.  If D_s = 0 and N_s != 0 mod p, s is left out.  If N_s = D_s = 0
+mod p, sigma is wild: its bit is in every mask, and it is the mask of a
+ratio no source point has.  A target frame starts with every bit and,
+at each point t outside it with D_t != 0 mod p, keeps those of the mask
+of t's ratio; it is rejected once no bit is left.  The filter never
+drops an ordering sigma where the map of that ordering and that frame
+carries S onto T.  There, every such t is the image of a source point
+s, and the map sends the coordinates of s in sigma to those of t in the
+frame, so they are proportional: N_t D_s = N_s D_t in Z[i], hence mod
+p.  If D_s != 0 mod p, the two residue ratios agree, so sigma's bit
+survives t.  If D_s = 0 mod p, then N_s D_t = 0 with D_t != 0, so
+N_s = 0 too and sigma is wild, and its bit survives t as well.  The
+image t of a point s left out has N_s D_t = 0 with N_s != 0, so D_t = 0
+and the walk skips it.  No exact bracket is read for this.  Rejecting a
+quad that is no frame changes nothing, since no map is built on it.  So
+the filter changes no map and no order.  A frame that passes is tried
+only with the orderings left in its mask.
 
 The filter also drops the target quads that are no frame, so none is
 built exactly only to be refused.  On the line every triple of distinct
@@ -89,8 +92,7 @@ than n rows of n residues) and one for all rows on the line, and the
 source's rows of the anchor in one batch; a second enumeration against
 the same table builds none again.  Exact brackets stay lazy, computed
 only where they are read: the d + 1 of a target frame that passes and
-of each ordering of the anchor it is tried with, a source bracket whose
-residue is 0 mod p, to tell D_s = 0 from the gap, and the target
+of each ordering of the anchor it is tried with, and the target
 brackets that decide whether a quad is a frame.  Each determinant is
 computed at most once per set of points and kept on the table, and
 read with the sign of the order asked for; the conjugate points' table
@@ -309,52 +311,50 @@ def _brackets(points) -> _Brackets:
 
 
 def _frame_matrix(table, frame):
-    """The matrix of an ordered frame, columns u_k f_k (module docstring); None if no frame."""
+    """The matrix of an ordered frame, columns u_k f_k (module docstring)."""
     base, last = frame[:-1], frame[-1]
     u = [table.bracket((last,) + base[k + 1:] + base[:k]) for k in range(len(base))]
-    if (0, 0) in u or table.vanishes(base):
-        return None
     return zcolumns([zscale(x, table.vectors[f]) for x, f in zip(u, base)])
 
 
 def _source_masks(source, orderings, others):
-    """{residue ratio N / D (module docstring): bitmask of the orderings giving it}.
+    """(masks, wild): {residue ratio N / D: bitmask of the orderings giving it}, wild orderings.
 
     Bit j stands for orderings[j] of the anchor, and its ratios are those
-    of the other source points.  Points with D = 0 exactly are left out;
-    None (no filter) if some D is nonzero exactly but zero mod p.
+    of the other source points, read as points (N : D) of P^1(F_p)
+    (module docstring).  A point with D = 0 mod p is left out, and one
+    with N = D = 0 mod p makes its ordering wild: the bit is in every mask.
     """
     anchor = orderings[0]
     source.build_residues(anchor if len(anchor) == 3 else itertools.combinations(anchor, 2))
     rows = source.residues
-    masks = {}
+    masks, wild = {}, 0
     for bit, frame in enumerate(orderings):
         if len(frame) == 4:  # the rows of (f_2, f_3) and (f_3, f_1)
             (s0, inverses0), (s1, inverses1) = rows[frame[1]][frame[2]], rows[frame[2]][frame[0]]
         else:  # those of f_2 and f_1
             (s0, inverses0), (s1, inverses1) = rows[frame[1]], rows[frame[0]]
-        last = frame[-1]
-        if not inverses1[last]:
-            return None  # u_1 is nonzero exactly, since the anchor is a frame
-        c = s0[last] * inverses1[last] % P
+        u0, inverse1 = s0[frame[-1]], inverses1[frame[-1]]
+        c = u0 * inverse1 % P
         for t in others:
-            if inverses0[t]:
+            if inverse1 and inverses0[t]:
                 ratio = c * s1[t] * inverses0[t] % P
                 masks[ratio] = masks.get(ratio, 0) | 1 << bit
-            elif source.bracket((t,) + frame[1:-1]) != (0, 0):
-                return None
-    return masks
+            elif not u0 * s1[t] % P:
+                wild |= 1 << bit
+    for ratio in masks:
+        masks[ratio] |= wild
+    return masks, wild
 
 
-def _filtered_frames(target, d, masks, every):
+def _filtered_frames(target, d, masks, wild, every):
     """(frame, mask) for each target frame, in combinations order, with the orderings it leaves.
 
     mask starts as every and loses, at each point t outside the frame with
     D nonzero mod p, the orderings whose ratio sets lack t's N / D
-    (module docstring); a frame is dropped once it has none left.  With
-    the filter on, a quad with a bracket 0 exactly is no frame and is
-    dropped too, so every quad yielded is a frame.  With no masks
-    (filter off) every quad leaves every ordering.
+    (module docstring), and the wild orderings are never lost; a frame is
+    dropped once it has none left.  A quad with a bracket 0 exactly is no
+    frame and is dropped too, so every quad yielded is a frame.
 
     A frame (a, b, c, last) of the plane reads the residue rows s_0 and
     s_1 (module docstring), those of (b, c) and (c, a), and a frame
@@ -362,10 +362,6 @@ def _filtered_frames(target, d, masks, every):
     last point, n - 1; the rest are built first, in the plane one batch per first point.
     """
     n = len(target.vectors)
-    if masks is None:
-        for frame in itertools.combinations(range(n), d + 1):
-            yield frame, every
-        return
     p, ratio_mask, vanishes, rows = P, masks.get, target.vanishes, target.residues
     if d == 3:
         for x in range(n - 2):
@@ -390,7 +386,7 @@ def _filtered_frames(target, d, masks, every):
                             u = s0[last] * inverses1[last] % p  # u_0 / u_1
                             for t, inverse in enumerate(inverses0):
                                 if inverse and t != a and t != last:
-                                    mask &= ratio_mask(u * s1[t] * inverse % p, 0)
+                                    mask &= ratio_mask(u * s1[t] * inverse % p, wild)
                                     if not mask:
                                         break
                         # u_2 = [l a b] is tested exactly once the quad has passed
@@ -408,7 +404,7 @@ def _filtered_frames(target, d, masks, every):
                     u = s0[last] * inverses1[last] % p
                     for t, inverse in enumerate(inverses0):
                         if inverse and t != a and t != last:
-                            mask &= ratio_mask(u * s1[t] * inverse % p, 0)
+                            mask &= ratio_mask(u * s1[t] * inverse % p, wild)
                             if not mask:
                                 break
                 if mask:
@@ -431,14 +427,12 @@ def _keyed_equivalences(source, anchor, target, antiholo=False):
     adjugate = zadjugate2 if d == 2 else zadjugate3
     others = [t for t in range(len(target.vectors)) if t not in anchor]
     orderings = list(itertools.permutations(anchor))
-    masks = _source_masks(source, orderings, others) if others else None
+    masks, wild = _source_masks(source, orderings, others)
     points = {znormal(v) for v in target.vectors}
     adjugates = {}  # bit -> (adj(M), [adj(M) s for the other source points s]) of orderings[bit]
     found = []
-    for frame, mask in _filtered_frames(target, d, masks, (1 << len(orderings)) - 1):
+    for frame, mask in _filtered_frames(target, d, masks, wild, (1 << len(orderings)) - 1):
         z_frame = _frame_matrix(target, frame)
-        if z_frame is None:
-            continue
         for bit, ordering in enumerate(orderings):
             if not mask >> bit & 1:
                 continue

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zi_oracle
 import planar_descent.equivalence as equivalence_module
@@ -730,15 +732,15 @@ def _filter_cases():
                          ("four collinear", four_collinear)):
         both_ways(name, reduce_to_line(config).config.points, (0, 1, 2))
     # (P, I) = (13, 5) maps 3 + 2i to 0, so every residue of the scaled
-    # table vanishes: the filter is off when it is the source, and skips
-    # every point when it is the target
+    # table vanishes: every ordering is wild when it is the source, and
+    # the walk skips every point when it is the target
     small = _random_config(random.Random(4), 5)
     scaled = [_Scaled(p, (3, 2)) for p in small.points]
     anchor = equivalence_module.Symmetries(small).anchor
     cases.append(("scaled source", brackets(scaled), anchor, brackets(small.points)))
     cases.append(("scaled target", brackets(small.points), anchor, brackets(scaled)))
     # only the last point scaled: (13, 5) gives it D = 0 mod p at the
-    # matching frames, while the filter is on
+    # matching frames, while the other points keep the filter's ratios
     s_1 = family(FamilyParams(1, DEFAULT_POOL[:1], "S"))
     one_scaled = list(s_1.points[:-1]) + [_Scaled(s_1.points[-1], (3, 2))]
     cases.append(("one scaled point", brackets(s_1.points),
@@ -778,11 +780,24 @@ def _assert_residue_rows(table, keys, p, i):
         assert [r * v % p for r, v in zip(residues, inverses)] == [int(r != 0) for r in residues]
 
 
+def _all_wild(source, orderings, others):
+    """`_source_masks` with every ordering wild: every frame keeps every ordering."""
+    return {}, (1 << len(orderings)) - 1
+
+
+def _masks_of(source, anchor):
+    """`_source_masks` of a source table, with the orderings and other points
+    `_keyed_equivalences` passes it."""
+    orderings = list(itertools.permutations(anchor))
+    others = [t for t in range(len(source.vectors)) if t not in anchor]
+    return equivalence_module._source_masks(source, orderings, others)
+
+
 def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     default = (equivalence_module.P, equivalence_module.I)
-    # with the filter off, every quad is tried with every ordering
+    # with every ordering wild, every frame is tried with every ordering
     with monkeypatch.context() as patched:
-        patched.setattr(equivalence_module, "_source_masks", lambda *args: None)
+        patched.setattr(equivalence_module, "_source_masks", _all_wild)
         unfiltered = _filtered_enumerations(patched, *default)
     expected = _filtered_enumerations(monkeypatch, *default)
     assert expected == unfiltered
@@ -794,13 +809,11 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     # (P, I) = (5, 2) passes candidates, pairs of a frame and an ordering
     # left in its mask, whose maps the exact check refuses
     filtered_frames = equivalence_module._filtered_frames
-    frame_matrix = equivalence_module._frame_matrix
     candidates = []
 
-    def counted(target, d, masks, every):
-        for frame, mask in filtered_frames(target, d, masks, every):
-            if frame_matrix(target, frame) is not None:
-                candidates.append(bin(mask).count("1"))
+    def counted(target, d, masks, wild, every):
+        for frame, mask in filtered_frames(target, d, masks, wild, every):
+            candidates.append(bin(mask).count("1"))
             yield frame, mask
 
     with monkeypatch.context() as patched:
@@ -815,9 +828,12 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     assert expected["one scaled point"] == expected["S m=1 self"]
     # under (13, 5), the rows of small's table and its conjugate, and of a
     # set of the line and its conjugate, pass `_assert_residue_rows`; every
-    # residue of a scaled table vanishes
+    # residue of a scaled table vanishes, so a scaled source has every
+    # ordering wild
     monkeypatch.setattr(equivalence_module, "P", 13)
     monkeypatch.setattr(equivalence_module, "I", 5)
+    _, source, anchor, _ = next(case for case in _filter_cases() if case[0] == "scaled source")
+    assert _masks_of(source, anchor) == ({}, (1 << 24) - 1)
     brackets = equivalence_module._brackets
     line = reduce_to_line(PointConfig([pt(k, 1, 2 * k) for k in range(6)])).config
     for points, keys in ((small.points, list(itertools.combinations(range(5), 2))),
@@ -832,8 +848,8 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
 
 
 def test_residue_filter_prunes_a_refuted_generic_input(monkeypatch):
-    # without the filter, the frame matrices of 330 target quads and 24
-    # source orderings are built
+    # with every ordering wild, the frame matrices of 330 target quads and
+    # 24 source orderings are built
     frame_matrix = equivalence_module._frame_matrix
     calls = []
 
@@ -887,3 +903,145 @@ def test_source_keying_is_pruned_to_the_matching_ordering(monkeypatch):
     assert descends_real(config).descends
     assert len(calls) == 2 and calls[0] is equivalence_module.Symmetries.of(config).brackets
     assert len(aut_group(config)) == 1
+
+
+# --- source residues that vanish mod P: left out, or wild ----------------------------
+
+
+def _images(z):
+    """A plane point's image in F_P^3 under a + bi -> a + bI."""
+    p, i = equivalence_module.P, equivalence_module.I
+    return [(z[j] + z[j + 1] * i) % p for j in range(0, 6, 2)]
+
+
+def _zero_mod_p(x, y):
+    """The residue c mod P with [(c : 1 : 0), x, y] = 0 mod p, for images x, y."""
+    p = equivalence_module.P
+    return (x[0] * y[2] - x[2] * y[0]) * pow(x[1] * y[2] - x[2] * y[1], -1, p) % p
+
+
+def _bracket_residue(table, points):
+    """The residue of a bracket in table's row of points[1:], up to sign."""
+    x, y = points[1:]
+    table.build_residues([(x, y)])
+    return table.residues[x][y][0][points[0]]
+
+
+def _gap_input(n):
+    """n - 1 generic points plus (x : 1 : 0), with [t f_2 f_3] = 0 mod p, not exactly."""
+    base = _random_config(random.Random(31), n - 1)
+    anchor = equivalence_module.Symmetries(base).anchor
+    x = _zero_mod_p(*[_images(base.points[k].z) for k in anchor[1:3]])
+    config = PointConfig(base.points + (pt(x, 1, 0),))
+    table = equivalence_module._brackets(config.points)
+    gap = (n - 1,) + anchor[1:3]
+    assert _bracket_residue(table, gap) == 0 and table.bracket(gap) != (0, 0)
+    return config, anchor
+
+
+def _u1_input(n):
+    """Three generic points and (1 : 0 : z) anchor, with u_1 = 0 mod p, not exactly.
+
+    The other points have first coordinate at least 1000, so they sort
+    after the anchor.
+    """
+    rng = random.Random(32)
+    corners = _random_config(rng, 3).points
+    # [(1 : 0 : z), x, y] = [(z : 1 : 0), x', y'] with the coordinates of
+    # every point shifted cyclically, (x_1, x_2, x_3) -> (x_3, x_1, x_2)
+    a, b = ([v[2], v[0], v[1]] for v in (_images(p.z) for p in corners[:2]))
+    points = list(corners) + [pt(1, 0, _zero_mod_p(a, b))]
+    while len(points) < n:
+        z = _random_point(rng).z
+        points.append(ProjPoint.from_z((1000 + len(points), 0) + z[2:]))
+    config = PointConfig(points)
+    anchor = equivalence_module.Symmetries(config).anchor
+    assert anchor == (0, 1, 2, 3)
+    u = (config.points.index(points[3]),) + tuple(config.points.index(p) for p in corners[:2])
+    table = equivalence_module._brackets(config.points)
+    assert _bracket_residue(table, u) == 0 and table.bracket(u) != (0, 0)
+    return config, anchor
+
+
+def _anchor_copy_input(n):
+    """n - 1 generic points and one more whose coordinates are an anchor point's mod P."""
+    rng = random.Random(33)
+    base = _random_config(rng, n - 1)
+    anchor = equivalence_module.Symmetries(base).anchor
+    copy = [x + equivalence_module.P * rng.randint(1, 3) for x in base.points[anchor[0]].z]
+    config = PointConfig(base.points + (ProjPoint.from_z(copy),))
+    assert equivalence_module.Symmetries(config).anchor == anchor
+    return config, anchor
+
+
+def _assert_total_filter(monkeypatch, make, wild_orderings):
+    """At n = 6 and 10, S -> g(S) for a twist g has the maps, in the order, of
+    the all-wild enumeration, and at n = 6 those of the Z[i] oracle."""
+    for n in (6, 10):
+        source, anchor = make(n)
+        target = _random_twist(random.Random(n)).apply(source)
+        _, wild = _masks_of(equivalence_module._brackets(source.points), anchor)
+        assert bin(wild).count("1") == wild_orderings
+        maps = equivalences(source, target)
+        with monkeypatch.context() as patched:
+            patched.setattr(equivalence_module, "_source_masks", _all_wild)
+            reference = equivalence_module._keyed_equivalences(
+                equivalence_module._brackets(source.points), anchor,
+                equivalence_module._brackets(target.points))
+        assert maps == reference and len(maps) == 1
+        if n == 6:
+            assert_matches_brute_force(maps, source, target)
+
+
+def test_a_source_bracket_zero_mod_p_leaves_its_point_out(monkeypatch):
+    _assert_total_filter(monkeypatch, _gap_input, 0)
+
+
+def test_u1_zero_mod_p_leaves_the_points_of_its_orderings_out(monkeypatch):
+    _assert_total_filter(monkeypatch, _u1_input, 0)
+
+
+def test_a_point_equal_to_an_anchor_point_mod_p_makes_six_orderings_wild(monkeypatch):
+    # the orderings with that anchor point third read N = D = 0 at the copy
+    _assert_total_filter(monkeypatch, _anchor_copy_input, 6)
+
+
+def _collinear_line_set(rng, n):
+    """n points on the line through two random points of the plane, read on that line."""
+    a, b = _random_config(rng, 2).points
+    points = set()
+    while len(points) < n:
+        s, t = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
+        v = [x + y for x, y in zip(zscale(s, a.z), zscale(t, b.z))]
+        if any(v):
+            points.add(ProjPoint.from_z(v))
+    return reduce_to_line(PointConfig(points)).config
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 7), collinear=st.booleans())
+def test_small_filter_primes_leave_every_enumeration_unchanged(seed, n, collinear):
+    # under (P, I) = (13, 5) and (5, 2) many residues vanish, so points
+    # are left out and orderings wild; S -> g(S) for a twist g stays the
+    # enumeration of the default prime and the Z[i] oracle's
+    rng = random.Random(seed)
+    if collinear:
+        source = _collinear_line_set(rng, n)
+        target, anchor = _random_line_twist(rng).apply(source), (0, 1, 2)
+    else:
+        source = _random_config(rng, n)
+        target = _random_twist(rng).apply(source)
+        try:
+            anchor = equivalence_module.Symmetries(source).anchor
+        except NeedsReductionError:
+            return
+    enumerations = []
+    with pytest.MonkeyPatch.context() as patched:
+        for p, i in ((equivalence_module.P, equivalence_module.I), (13, 5), (5, 2)):
+            patched.setattr(equivalence_module, "P", p)
+            patched.setattr(equivalence_module, "I", i)
+            enumerations.append(equivalence_module._keyed_equivalences(
+                equivalence_module._brackets(source.points), anchor,
+                equivalence_module._brackets(target.points)))
+    assert enumerations[0] == enumerations[1] == enumerations[2]
+    assert_matches_brute_force(enumerations[0], source, target)
