@@ -46,9 +46,10 @@ negated.  So the filter reads one residue row per unordered
 F_P under a + bi -> a + bI and a + bi -> a - bI (the conjugate points'
 table swaps the two), with the inverses of a batch of rows found by one
 modular inverse (the simultaneous inversion of Montgomery, 1987).  The
-target frames are walked as nested index loops over the rows, a < b < c
-and then the last point in the plane, a < b and then the last point on
-the line, in combinations order.
+rows are keyed by tuples of d - 1 points, pairs in the plane and 1-tuples
+on the line.  One walk serves both dimensions: each base of d points,
+a < b < c in the plane and a < b on the line, and then each last point
+after it, in combinations order.
 
 The source's ratios are kept per ordering sigma of the anchor, each
 other source point s read as the point (N_s : D_s) of P^1(F_p).  If
@@ -72,31 +73,32 @@ the filter changes no map and no order.  A frame that passes is tried
 only with the orderings left in its mask.
 
 The filter also drops the target quads that are no frame, so none is
-built exactly only to be refused.  On the line every triple of distinct
-points is a frame.  In the plane a quad on the base (f_1, f_2, f_3)
-with last point l is a frame exactly when its four brackets are
-nonzero: [f_1 f_2 f_3] = s_0[f_1], u_0 = s_0[l], u_1 = s_1[l] and
+built exactly only to be refused.  A quad on the base (f_1, .., f_d)
+with last point l is a frame exactly when its brackets are nonzero:
+[f_1 .. f_d] = s_0[f_1], u_0 = s_0[l], u_1 = s_1[l] and, in the plane,
 u_2 = [l f_1 f_2].  The filter reads the first three mod p on the
 rows it builds anyway.  Where one is 0 mod p, that one determinant is
 tested exactly, and the base (all its quads) or the quad is dropped only
 if it is 0 exactly.  A quad whose bracket is 0 mod p but not exactly
 goes on as before: u_0 = 0 mod p makes every residue ratio 0, and
 u_1 = 0 mod p makes every D 0, so the quad keeps every ordering.  u_2
-has no residue row and is tested exactly on the quads that pass.  Each
-quad dropped is no frame, so, as above, no map and no order changes.
+has no residue row and is tested exactly on the quads that pass (on the
+line that test reads u_1 again).  Each quad dropped is no frame, so, as
+above, no map and no order changes.  On the line every triple of
+distinct points is a frame, so the same tests drop none there.
 
 Residue rows are built in batches, one modular inverse for each, and
 kept on their table: the target's rows before its frames are walked,
-one batch per first point of a pair in the plane (so no batch holds more
-than n rows of n residues) and one for all rows on the line, and the
-source's rows of the anchor in one batch; a second enumeration against
-the same table builds none again.  Exact brackets stay lazy, computed
-only where they are read: the d + 1 of a target frame that passes and
-of each ordering of the anchor it is tried with, and the target
-brackets that decide whether a quad is a frame.  Each determinant is
-computed at most once per set of points and kept on the table, and
-read with the sign of the order asked for; the conjugate points' table
-reads them conjugated from its parent.
+one batch per first d - 2 points of a key (per first point of a pair in
+the plane, so no batch holds more than n rows of n residues, and one
+batch on the line), and the source's rows of the anchor in one batch; a
+second enumeration against the same table builds none again.  Exact
+brackets stay lazy, computed only where they are read: the d + 1 of a
+target frame that passes and of each ordering of the anchor it is tried
+with, and the target brackets that decide whether a quad is a frame.
+Each determinant is computed at most once per set of points and kept on
+the table, and read with the sign of the order asked for; the conjugate
+points' table reads them conjugated from its parent.
 
 A configuration's symmetries are found once (`Symmetries`): the coset
 conj(S) -> S by one enumeration, and Aut(S), when that coset is not
@@ -200,15 +202,14 @@ class _Brackets:
 
     `bracket` gives the determinant of d points in the order given, each
     set of points computed once, when it is first read, and kept;
-    `vanishes` tests one against 0.  Row f, for d - 1 points f, holds
-    [t, *f] for every point t, and `residues` its image in F_P under
-    a + bi -> a + bI, read from the points' own images, as (residues,
-    inverses) once `build_residues` has built it: in the plane
-    residues[x][y] is the row of the pair {x, y}, one row for both orders,
-    and on the line residues[y] the row of the point y.  The rows are
-    built in batches, one modular inverse for each, and kept.  `conj()` is
-    the table of the conjugate points: it swaps each point's two images in
-    F_P and reads its brackets conjugated from this table.
+    `vanishes` tests one against 0.  Row f, for a tuple f of d - 1 points,
+    holds [t, *f] for every point t, and `residues[f]` its image in F_P
+    under a + bi -> a + bI, read from the points' own images, as
+    (residues, inverses) once `build_residues` has built it: f is a pair
+    in the plane, one row for both orders, and a 1-tuple on the line.  The
+    rows are built in batches, one modular inverse for each, and kept.
+    `conj()` is the table of the conjugate points: it swaps each point's
+    two images in F_P and reads its brackets conjugated from this table.
     """
 
     __slots__ = ("vectors", "residues", "_images", "_conjugate_of", "_dets")
@@ -217,8 +218,7 @@ class _Brackets:
         self.vectors = vectors
         self._images = images
         self._conjugate_of = conjugate_of
-        n = len(vectors)
-        self.residues = [[None] * n for _ in range(n)] if len(vectors[0]) == 6 else [None] * n
+        self.residues = {}
         self._dets = {}
 
     def conj(self) -> "_Brackets":
@@ -228,31 +228,26 @@ class _Brackets:
     def build_residues(self, keys):
         """Build the residue rows of keys that are not built yet, with one modular inverse.
 
-        keys are pairs of points in the plane and points on the line.  A
-        row holds [t, *key] mod p up to sign for every t, and the inverses
-        of its entries (0 for 0).  Both orders of a pair share one row:
-        the residue filter reads ratios in which a row's sign cancels.
+        keys are (d - 1)-tuples of points: pairs in the plane, 1-tuples on
+        the line.  A row holds [t, *key] mod p up to sign for every t, and
+        the inverses of its entries (0 for 0).  It is kept under key and
+        key reversed, so both orders of a pair share one row: the residue
+        filter reads ratios in which a row's sign cancels.
         """
         residues, images, p = self.residues, self._images[0], P
-        if len(images[0]) == 3:
-            keys = [(x, y) for x, y in keys if residues[x][y] is None]
-            batch = []
-            for x, y in keys:
-                (a, b, c), (e, f, g) = images[x], images[y]
-                u, v, w = b * g - c * f, c * e - a * g, a * f - b * e
+        keys = [key for key in keys if key not in residues]
+        batch = []
+        for key in keys:
+            if len(key) == 2:  # the plane: [t x y] = t . (x cross y)
+                (a, b, c), (e, f, g) = images[key[0]], images[key[1]]
+                u, v, w = (b * g - c * f) % p, (c * e - a * g) % p, (a * f - b * e) % p
                 batch.append([(u * r + v * s + w * t) % p for r, s, t in images])
-            if batch:
-                for (x, y), row in zip(keys, _with_inverses(batch)):
-                    residues[x][y] = residues[y][x] = row
-        else:
-            keys = [y for y in keys if residues[y] is None]
-            batch = []
-            for y in keys:
-                e, f = images[y]
+            else:  # the line: [t y]
+                e, f = images[key[0]]
                 batch.append([(r * f - s * e) % p for r, s in images])
-            if batch:
-                for y, row in zip(keys, _with_inverses(batch)):
-                    residues[y] = row
+        if batch:
+            for key, row in zip(keys, _with_inverses(batch)):
+                residues[key] = residues[key[::-1]] = row
 
     def bracket(self, points):
         """The determinant of d distinct points in the order given, each set's computed once."""
@@ -326,14 +321,13 @@ def _source_masks(source, orderings, others):
     with N = D = 0 mod p makes its ordering wild: the bit is in every mask.
     """
     anchor = orderings[0]
-    source.build_residues(anchor if len(anchor) == 3 else itertools.combinations(anchor, 2))
+    d = len(anchor) - 1
+    source.build_residues(itertools.combinations(sorted(anchor), d - 1))
     rows = source.residues
     masks, wild = {}, 0
     for bit, frame in enumerate(orderings):
-        if len(frame) == 4:  # the rows of (f_2, f_3) and (f_3, f_1)
-            (s0, inverses0), (s1, inverses1) = rows[frame[1]][frame[2]], rows[frame[2]][frame[0]]
-        else:  # those of f_2 and f_1
-            (s0, inverses0), (s1, inverses1) = rows[frame[1]], rows[frame[0]]
+        # the rows of (f_2, f_3) and (f_1, f_3) in the plane, of f_2 and f_1 on the line
+        (s0, inverses0), (s1, inverses1) = rows[frame[1:d]], rows[frame[:d:2]]
         u0, inverse1 = s0[frame[-1]], inverses1[frame[-1]]
         c = u0 * inverse1 % P
         for t in others:
@@ -353,62 +347,43 @@ def _filtered_frames(target, d, masks, wild, every):
     mask starts as every and loses, at each point t outside the frame with
     D nonzero mod p, the orderings whose ratio sets lack t's N / D
     (module docstring), and the wild orderings are never lost; a frame is
-    dropped once it has none left.  A quad with a bracket 0 exactly is no
-    frame and is dropped too, so every quad yielded is a frame.
+    dropped once it has none left.  A frame with a bracket 0 exactly is
+    dropped too, so every frame yielded is a frame.
 
-    A frame (a, b, c, last) of the plane reads the residue rows s_0 and
-    s_1 (module docstring), those of (b, c) and (c, a), and a frame
-    (a, b, last) of the line those of b and a.  No row read holds the
-    last point, n - 1; the rest are built first, in the plane one batch per first point.
+    A frame is a base of d points, a < b (< c), and a last point after
+    them.  It reads the residue rows s_0 and s_1 (module docstring) of
+    base[1:] and base[::2]: (b, c) and (a, c) in the plane, b and a on the
+    line.  No row read holds the last point, n - 1; the rest are built
+    first, one batch per first d - 2 points: per first point of a pair in
+    the plane, one batch on the line.
     """
     n = len(target.vectors)
     p, ratio_mask, vanishes, rows = P, masks.get, target.vanishes, target.residues
-    if d == 3:
-        for x in range(n - 2):
-            target.build_residues([(x, y) for y in range(x + 1, n - 1)])
-        for a in range(n - 3):
-            rows_a = rows[a]
-            for b in range(a + 1, n - 2):
-                rows_b = rows[b]
-                for c in range(b + 1, n - 1):
-                    s0, inverses0 = rows_b[c]
-                    if not inverses0[a] and vanishes((a, b, c)):
-                        continue  # no quad on this base is a frame
-                    s1, inverses1 = rows_a[c]
-                    for last in range(c + 1, n):
-                        if not s0[last] and vanishes((b, c, last)):
-                            continue  # u_0 = 0
-                        mask = every
-                        if not inverses1[last]:  # u_1 = 0 mod p, so every D is
-                            if vanishes((a, c, last)):
-                                continue
-                        else:
-                            u = s0[last] * inverses1[last] % p  # u_0 / u_1
-                            for t, inverse in enumerate(inverses0):
-                                if inverse and t != a and t != last:
-                                    mask &= ratio_mask(u * s1[t] * inverse % p, wild)
-                                    if not mask:
-                                        break
-                        # u_2 = [l a b] is tested exactly once the quad has passed
-                        if mask and not vanishes((a, b, last)):
-                            yield (a, b, c, last), mask
-        return
-    target.build_residues(range(n - 1))
-    for a in range(n - 2):
-        s1, inverses1 = rows[a]
-        for b in range(a + 1, n - 1):
-            s0, inverses0 = rows[b]
-            for last in range(b + 1, n):  # distinct points of the line: every triple is a frame
-                mask = every
-                if inverses1[last]:
-                    u = s0[last] * inverses1[last] % p
-                    for t, inverse in enumerate(inverses0):
-                        if inverse and t != a and t != last:
-                            mask &= ratio_mask(u * s1[t] * inverse % p, wild)
-                            if not mask:
-                                break
-                if mask:
-                    yield (a, b, last), mask
+    for prefix in itertools.combinations(range(n - 2), d - 2):
+        first = prefix[-1] + 1 if prefix else 0
+        target.build_residues([prefix + (y,) for y in range(first, n - 1)])
+    for base in itertools.combinations(range(n - 1), d):
+        a = base[0]
+        (s0, inverses0), (s1, inverses1) = rows[base[1:]], rows[base[::2]]
+        if not inverses0[a] and vanishes(base):
+            continue  # no frame on this base
+        for last in range(base[-1] + 1, n):
+            if not s0[last] and vanishes(base[1:] + (last,)):
+                continue  # u_0 = 0
+            mask = every
+            if not inverses1[last]:  # u_1 = 0 mod p, so every D is
+                if vanishes(base[::2] + (last,)):
+                    continue
+            else:
+                u = s0[last] * inverses1[last] % p  # u_0 / u_1
+                for t, inverse in enumerate(inverses0):
+                    if inverse and t != a and t != last:
+                        mask &= ratio_mask(u * s1[t] * inverse % p, wild)
+                        if not mask:
+                            break
+            # u_2 = [l a b] in the plane (u_1 again on the line) once the frame has passed
+            if mask and not vanishes(base[:-1] + (last,)):
+                yield base + (last,), mask
 
 
 def _keyed_equivalences(source, anchor, target, antiholo=False):
@@ -544,7 +519,7 @@ class Symmetries:
             config._symmetries = cls(config)
         return config._symmetries
 
-    @property
+    @cached_property
     def anchor(self):
         """The indices of the witness frame in S; NeedsReductionError off the frame route."""
         if self.route != "frame":

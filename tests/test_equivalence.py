@@ -739,6 +739,11 @@ def _filter_cases():
     anchor = equivalence_module.Symmetries(small).anchor
     cases.append(("scaled source", brackets(scaled), anchor, brackets(small.points)))
     cases.append(("scaled target", brackets(small.points), anchor, brackets(scaled)))
+    # the same on the line, where the walk then tests its frames exactly
+    line = reduce_to_line(collinear_set).config.points
+    scaled_line = [_Scaled(p, (3, 2)) for p in line]
+    cases.append(("scaled line source", brackets(scaled_line), (0, 1, 2), brackets(line)))
+    cases.append(("scaled line target", brackets(line), (0, 1, 2), brackets(scaled_line)))
     # only the last point scaled: (13, 5) gives it D = 0 mod p at the
     # matching frames, while the other points keep the filter's ratios
     s_1 = family(FamilyParams(1, DEFAULT_POOL[:1], "S"))
@@ -757,15 +762,8 @@ def _filtered_enumerations(monkeypatch, p, i):
 
 def _residue_rows(table, keys):
     """{f: residue row of f} for both orders of each key, a pair of points in
-    the plane, and for f = (key,) for each key, a point, on the line."""
-    rows = {}
-    for key in keys:
-        if isinstance(key, tuple):
-            for f in itertools.permutations(key):
-                rows[f] = table.residues[f[0]][f[1]]
-        else:
-            rows[(key,)] = table.residues[key]
-    return rows
+    the plane or a 1-tuple of a point on the line."""
+    return {f: table.residues[f] for key in keys for f in itertools.permutations(key)}
 
 
 def _assert_residue_rows(table, keys, p, i):
@@ -825,6 +823,8 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
         assert _filtered_enumerations(monkeypatch, p, i) == expected, (p, i)
     small = _random_config(random.Random(4), 5)
     assert expected["scaled source"] == expected["scaled target"] == tuple(aut_group(small))
+    assert (expected["scaled line source"] == expected["scaled line target"]
+            == expected["collinear self"])
     assert expected["one scaled point"] == expected["S m=1 self"]
     # under (13, 5), the rows of small's table and its conjugate, and of a
     # set of the line and its conjugate, pass `_assert_residue_rows`; every
@@ -832,12 +832,13 @@ def test_enumerations_do_not_depend_on_the_filter_prime(monkeypatch):
     # ordering wild
     monkeypatch.setattr(equivalence_module, "P", 13)
     monkeypatch.setattr(equivalence_module, "I", 5)
-    _, source, anchor, _ = next(case for case in _filter_cases() if case[0] == "scaled source")
-    assert _masks_of(source, anchor) == ({}, (1 << 24) - 1)
+    cases = {case[0]: case[1:3] for case in _filter_cases()}
+    assert _masks_of(*cases["scaled source"]) == ({}, (1 << 24) - 1)
+    assert _masks_of(*cases["scaled line source"]) == ({}, (1 << 6) - 1)
     brackets = equivalence_module._brackets
     line = reduce_to_line(PointConfig([pt(k, 1, 2 * k) for k in range(6)])).config
     for points, keys in ((small.points, list(itertools.combinations(range(5), 2))),
-                         (line.points, list(range(6)))):
+                         (line.points, [(k,) for k in range(6)])):
         table = brackets(points)
         for tab in (table, table.conj()):
             tab.build_residues(keys)
@@ -867,7 +868,9 @@ def test_residue_rows_take_one_inverse_per_batch(monkeypatch):
     # conj(S) -> S builds the anchor's rows of the conjugate table in one
     # batch and the target's in one batch per first point, n - 2 of them;
     # rows built one at a time took 50 modular inverses on this input.
-    # S -> S then reads the same table and builds no row again.
+    # S -> S then reads the same table and builds no row again.  On the
+    # line, conj(L) -> L builds one batch for the anchor's rows and one
+    # for the target's.
     with_inverses = equivalence_module._with_inverses
     batches = []
 
@@ -884,6 +887,10 @@ def test_residue_rows_take_one_inverse_per_batch(monkeypatch):
     assert max(batches) < n
     batches.clear()
     assert len(sym.holomorphic) == 1 and batches == []
+    collinear = PointConfig([pt(k, 1, 2 * k) for k in range(6)])
+    sym = equivalence_module.Symmetries(collinear)
+    assert sym.route == "line" and sym.conjugate
+    assert batches == [3, len(collinear) - 1]
 
 
 def test_source_keying_is_pruned_to_the_matching_ordering(monkeypatch):
@@ -922,9 +929,8 @@ def _zero_mod_p(x, y):
 
 def _bracket_residue(table, points):
     """The residue of a bracket in table's row of points[1:], up to sign."""
-    x, y = points[1:]
-    table.build_residues([(x, y)])
-    return table.residues[x][y][0][points[0]]
+    table.build_residues([points[1:]])
+    return table.residues[points[1:]][0][points[0]]
 
 
 def _gap_input(n):
